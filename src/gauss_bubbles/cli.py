@@ -421,46 +421,65 @@ def _run_regression(corpus: Path) -> int:
     cases = sorted(corpus.glob("*.json"))
     failures = 0
     for case_path in cases:
-        case = json.loads(case_path.read_text(encoding="utf-8"))
-        name = case.get("name", case_path.stem)
-        spec = dict(case["spec"])
-        command = spec.pop("command")
-        if command not in _COMMANDS:
-            print(f"FAIL {name}: unknown command {command!r}")
+        name, problems = _regression_case(case_path)
+        for problem in problems:
+            print(f"FAIL {name}: {problem}")
+        if problems:
             failures += 1
-            continue
-        if "seed" not in spec and command not in ("symmetric-scan",):
-            print(f"FAIL {name}: archived specs must pin a seed")
-            failures += 1
-            continue
-        try:
-            results, errors, _ = _COMMANDS[command](spec)
-        except GaussBubblesError as exc:
-            print(f"FAIL {name}: {exc}")
-            failures += 1
-            continue
-        flat = {"results": results, "stderr": errors}
-        ok = True
-        for expect in case.get("expect", []):
-            value = flat
-            for part in expect["key"].split("."):
-                value = value[part]
-            atol = float(expect.get("atol", 0.0))
-            rtol = float(expect.get("rtol", 0.0))
-            target = float(expect["value"])
-            tol = atol + rtol * abs(target)
-            if not abs(float(value) - target) <= tol:
-                print(
-                    f"FAIL {name}: {expect['key']} = {value:.6g}, "
-                    f"expected {target:.6g} within {tol:.3g}"
-                )
-                ok = False
-        if ok:
-            print(f"PASS {name}")
         else:
-            failures += 1
+            print(f"PASS {name}")
     print(f"regression: {len(cases) - failures}/{len(cases)} cases passed")
     return 0 if failures == 0 else USAGE_EXIT
+
+
+def _regression_case(case_path: Path) -> tuple[str, list[str]]:
+    """Run one corpus case: its name and its failures (none means it passed).
+
+    A malformed case (bad JSON, missing fields, a bad expectation) is a
+    failure of that case only, so the rest of the corpus still runs.
+    """
+    name = case_path.stem
+    try:
+        case = json.loads(case_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        return name, [f"unreadable case file: {exc}"]
+    if not isinstance(case, dict):
+        return name, ["a case must be a JSON object"]
+    name = case.get("name", name)
+    spec = case.get("spec")
+    if not isinstance(spec, dict) or "command" not in spec:
+        return name, ["a case needs a spec object with a command"]
+    spec = dict(spec)
+    command = spec.pop("command")
+    if command not in _COMMANDS:
+        return name, [f"unknown command {command!r}"]
+    if "seed" not in spec and command not in ("symmetric-scan",):
+        return name, ["archived specs must pin a seed"]
+    try:
+        results, errors, _ = _COMMANDS[command](spec)
+    except GaussBubblesError as exc:
+        return name, [str(exc)]
+    except KeyError as exc:
+        return name, [f"spec is missing {exc}"]
+    except (OSError, ValueError, TypeError) as exc:
+        return name, [f"bad spec: {exc}"]
+    flat = {"results": results, "stderr": errors}
+    problems = []
+    for expect in case.get("expect", []):
+        try:
+            key = expect["key"]
+            value = flat
+            for part in key.split("."):
+                value = value[part]
+            value = float(value)
+            target = float(expect["value"])
+            tol = float(expect.get("atol", 0.0)) + float(expect.get("rtol", 0.0)) * abs(target)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            problems.append(f"bad expectation {expect!r}: {type(exc).__name__}: {exc}")
+            continue
+        if not abs(value - target) <= tol:
+            problems.append(f"{key} = {value:.6g}, expected {target:.6g} within {tol:.3g}")
+    return name, problems
 
 
 def _build_parser() -> _Parser:

@@ -23,13 +23,10 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import CapacityError, ConfigError, ContractViolationError, DomainError
+from .montecarlo import DISCRETE_SUBSTREAM
 
 #: Largest dense table handled by the exact evaluator.
 DEFAULT_CAPACITY = 10**7
-
-# Substream id for the majority pair sampler (keeps its Philox keys disjoint
-# from the Gaussian sampling streams under the same seed).
-_CLT_SUBSTREAM = 3
 
 _SIMPLEX_TOL = 1e-12
 
@@ -311,7 +308,7 @@ def clt_crosscheck(rho: float, n: int, cfg) -> CltCrosscheckResult:
     while remaining > 0:
         block = min(cfg.chunk_size, remaining)
         remaining -= block
-        rng = Generator(np.random.Philox(key=[cfg.seed, (_CLT_SUBSTREAM << 32) | chunk]))
+        rng = Generator(np.random.Philox(key=[cfg.seed, (DISCRETE_SUBSTREAM << 32) | chunk]))
         chunk += 1
         ones = rng.binomial(n, 0.5, size=block)
         partner_ones = rng.binomial(ones, kernel.stay) + rng.binomial(n - ones, kernel.move)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -49,7 +50,7 @@ MAX_CELL_MOMENT_NORM = 1.0 / math.sqrt(TWO_PI)
 MAIN_SUBSTREAM = 0
 PAIR_SUBSTREAM = 1
 ALIGN_SUBSTREAM = 2
-DISCRETE_SUBSTREAM = 3
+DISCRETE_SUBSTREAM = 3  # binomial pair sampler of discrete.clt_crosscheck
 COLLAR_SUBSTREAM = 4
 FACET_SUBSTREAM = 1000
 
@@ -59,6 +60,14 @@ _MAX_UINT64 = 2**64 - 1
 _U_FLOOR = 2.0**-54
 
 THREADS_ENV_VAR = "GAUSS_BUBBLES_THREADS"
+
+# Rows per integrand call. Small enough that the integrands' BLAS products
+# stay on the calling thread instead of spawning BLAS threads that compete
+# with the chunk pool for the same cores.
+_TILE_ROWS = 8192
+
+# Marks the threads of a map_chunks pool, so nested calls run serially.
+_POOL_THREAD = threading.local()
 
 
 @dataclass(frozen=True)
@@ -122,13 +131,19 @@ def map_chunks(worker: Callable[[int], object], n_chunks: int) -> list:
     """Evaluate ``worker`` over chunk indices, results in chunk order.
 
     The fold order is fixed by the chunk index, so any thread count produces
-    bit-identical output.
+    bit-identical output. A call made from inside a ``map_chunks`` worker runs
+    serially on that worker's thread, so nested calls (an ``mc_mean`` inside
+    an optimizer restart) never run more than ``thread_count()`` threads.
     """
     workers = min(thread_count(), n_chunks)
-    if workers <= 1:
+    if workers <= 1 or getattr(_POOL_THREAD, "active", False):
         return [worker(c) for c in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread) as pool:
         return list(pool.map(worker, range(n_chunks)))
+
+
+def _mark_pool_thread():
+    _POOL_THREAD.active = True
 
 
 def _bit_generator(seed: int, substream: int, chunk: int) -> Philox:
@@ -178,17 +193,27 @@ def mc_mean(
     """Estimate E[value_fn(X)] (or E[value_fn(X, Y)] for correlated pairs).
 
     ``value_fn`` receives a block of samples with shape (n, dimension) and
-    must return per-sample values of shape (n,) or (n, q). Antithetic pairs
-    are folded into single observations before the moments are accumulated.
+    must return per-sample values of shape (n,) or (n, q). It must be
+    row-wise: row k of its output depends only on row k of its input, because
+    each chunk is passed to it in row tiles of at most ``_TILE_ROWS`` rows.
+    The tiles are reassembled into the chunk's full value array, so results
+    do not depend on the tile size. Antithetic pairs are folded into single
+    observations before the moments are accumulated.
     """
 
     def work(chunk: int):
         if pair_rho is None:
-            values = value_fn(_normal_chunk(cfg, substream, chunk, cfg.dimension))
+            blocks = (_normal_chunk(cfg, substream, chunk, cfg.dimension),)
         else:
-            x, y = _pair_chunk(cfg, pair_rho, substream, chunk)
-            values = value_fn(x, y)
-        v = np.asarray(values, dtype=float)
+            blocks = _pair_chunk(cfg, pair_rho, substream, chunk)
+        rows = cfg.chunk_size
+        v = None
+        for start in range(0, rows, _TILE_ROWS):
+            stop = min(start + _TILE_ROWS, rows)
+            tile = np.asarray(value_fn(*(b[start:stop] for b in blocks)), dtype=float)
+            if v is None:
+                v = np.empty((rows,) + tile.shape[1:])
+            v[start:stop] = tile
         if v.ndim == 1:
             v = v[:, None]
         if cfg.antithetic:

@@ -13,7 +13,6 @@ bit-identical, and the search signal is not Monte Carlo noise.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .montecarlo import IntegrationConfig, mc_moments, thread_count
+from .montecarlo import IntegrationConfig, map_chunks, mc_moments
 from .partitions import (
     AffinePartition,
     align_rotation,
@@ -193,12 +192,9 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
         )
         return res.fun, res.x, objective.trace, objective.evaluations
 
-    workers = min(thread_count(), cfg.restarts)
-    if workers <= 1:
-        outcomes = [run_restart(r) for r in range(cfg.restarts)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_restart, range(cfg.restarts)))
+    # Restarts share the chunk pool; their mc_mean calls then run serially
+    # on the restart's own thread.
+    outcomes = map_chunks(run_restart, cfg.restarts)
 
     restart_values = [out[0] for out in outcomes]
     best_index = int(np.argmin(restart_values))

@@ -224,3 +224,31 @@ class TestRegression:
             [])
         assert main(["regression", "--corpus", str(corpus)]) == 1
         assert "must pin a seed" in capsys.readouterr().out
+
+    def test_malformed_cases_fail_one_by_one(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        good = {"command": "perimeter", "partition": "halfspaces",
+                "samples": 100_000, "seed": 7}
+        exact = 1.0 / math.sqrt(2 * math.pi)
+        (corpus / "a-invalid-json.json").write_text("{not json")
+        (corpus / "b-no-spec.json").write_text(json.dumps({"name": "no-spec"}))
+        write_corpus_case(corpus / "c.json", "no-command",
+                          {"partition": "halfspaces", "samples": 100_000, "seed": 7}, [])
+        write_corpus_case(corpus / "d.json", "no-samples",
+                          {"command": "perimeter", "partition": "halfspaces", "seed": 7}, [])
+        write_corpus_case(corpus / "e.json", "bad-key", good,
+                          [{"key": "results.nope.deeper", "value": exact}])
+        write_corpus_case(corpus / "f.json", "non-numeric", good,
+                          [{"key": "results.total", "value": "about 0.4"}])
+        write_corpus_case(corpus / "g.json", "good", good,
+                          [{"key": "results.total", "value": exact, "atol": 1e-9}])
+        assert main(["regression", "--corpus", str(corpus)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL ")]
+        assert [line.split(":")[0] for line in fails] == [
+            "FAIL a-invalid-json", "FAIL no-spec", "FAIL no-command",
+            "FAIL no-samples", "FAIL bad-key", "FAIL non-numeric"]
+        assert "'samples'" in fails[3]
+        assert "PASS good" in lines
+        assert lines[-1] == "regression: 1/7 cases passed"

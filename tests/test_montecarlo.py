@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,9 +17,18 @@ from gauss_bubbles import (
     half_space_pair,
     mc_moments,
     mc_volumes,
+    perturb,
     propeller_partition,
     sample_correlated_pairs,
+    sample_standard_normal,
     simplicial_cone_partition,
+)
+from gauss_bubbles.montecarlo import (
+    _TILE_ROWS,
+    MAIN_SUBSTREAM,
+    PAIR_SUBSTREAM,
+    map_chunks,
+    mc_mean,
 )
 
 import oracles
@@ -308,3 +318,118 @@ class TestMeanMachinery:
         large = mc_volumes(part, cfg2(samples=400_000))
         ratio = small.stderr.mean() / large.stderr.mean()
         assert ratio == pytest.approx(2.0, rel=0.2)
+
+
+# Chunks of three whole tiles plus a partial one (even, for antithetic pairs).
+TILED_CHUNK = 3 * _TILE_ROWS + 1000
+CONES4 = perturb(simplicial_cone_partition(4), 0.1, 11)
+
+
+def tiled_cfg(antithetic):
+    return IntegrationConfig(sample_count=2 * TILED_CHUNK, seed=13, dimension=3,
+                             chunk_size=TILED_CHUNK, antithetic=antithetic)
+
+
+def moment_values(x):
+    """Volume and moment columns of CONES4, as mc_moments evaluates them."""
+    hot = (CONES4.classify_points(x)[:, None] == np.arange(4)[None, :]).astype(float)
+    mom = (x[:, None, :] * hot[:, :, None]).reshape(x.shape[0], 12)
+    return np.concatenate([hot, mom], axis=1)
+
+
+def pair_values(x, y):
+    """Per-cell joint membership and agreement, as noise stability evaluates
+    them, plus <X, Y>, whose sums (unlike the indicators') depend on their order."""
+    cx, cy = CONES4.classify_points(x), CONES4.classify_points(y)
+    both = (cx[:, None] == np.arange(4)[None, :]) & (cy[:, None] == np.arange(4)[None, :])
+    return np.concatenate([both.astype(float), (cx == cy).astype(float)[:, None],
+                           (x * y).sum(axis=1)[:, None]], axis=1)
+
+
+def whole_chunk_mean(cfg, value_fn, blocks):
+    """mc_mean's fold and reduction, applied to value_fn on whole chunks."""
+    total = total_sq = None
+    for block in blocks:
+        v = np.asarray(value_fn(*block), dtype=float)
+        if v.ndim == 1:
+            v = v[:, None]
+        if cfg.antithetic:
+            h = v.shape[0] // 2
+            v = 0.5 * (v[:h] + v[h:])
+        s, sq = v.sum(axis=0), np.einsum("ij,ij->j", v, v)
+        total = s.copy() if total is None else total + s
+        total_sq = sq.copy() if total_sq is None else total_sq + sq
+    n = cfg.n_observations
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / (n - 1))
+    return mean, np.sqrt(var / n)
+
+
+class TestRowTiles:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_integrand_never_sees_more_than_a_tile(self, pairs, antithetic):
+        cfg = tiled_cfg(antithetic)
+        seen = []
+
+        def record(*blocks):
+            assert len({b.shape[0] for b in blocks}) == 1
+            seen.append(blocks[0].shape[0])
+            return np.ones(blocks[0].shape[0])
+
+        res = mc_mean(cfg, record, pair_rho=0.5 if pairs else None)
+        assert max(seen) == _TILE_ROWS
+        assert sum(seen) == cfg.sample_count
+        assert len(seen) == 2 * 4  # three whole tiles and one partial per chunk
+        assert np.array_equal(res.mean, [1.0])
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_tiled_mean_matches_whole_chunks_bit_for_bit(self, antithetic):
+        cfg = tiled_cfg(antithetic)
+        res = mc_mean(cfg, moment_values, substream=MAIN_SUBSTREAM)
+        mean, stderr = whole_chunk_mean(
+            cfg, moment_values, ((x,) for x in sample_standard_normal(cfg)))
+        assert np.array_equal(res.mean, mean)
+        assert np.array_equal(res.stderr, stderr)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_tiled_pair_mean_matches_whole_chunks_bit_for_bit(self, antithetic):
+        cfg = tiled_cfg(antithetic)
+        res = mc_mean(cfg, pair_values, substream=PAIR_SUBSTREAM, pair_rho=0.9)
+        mean, stderr = whole_chunk_mean(cfg, pair_values, sample_correlated_pairs(0.9, cfg))
+        assert np.array_equal(res.mean, mean)
+        assert np.array_equal(res.stderr, stderr)
+
+
+class TestNestedPools:
+    def test_mc_mean_inside_a_pool_worker_stays_on_its_thread(self, monkeypatch):
+        monkeypatch.setenv("GAUSS_BUBBLES_THREADS", "2")
+        cfg = tiled_cfg(False)
+
+        def worker(_):
+            seen = set()
+
+            def values(x):
+                seen.add(threading.get_ident())
+                return moment_values(x)
+
+            res = mc_mean(cfg, values)
+            return threading.get_ident(), seen, res.mean
+
+        outcomes = map_chunks(worker, 2)
+        for ident, seen, mean in outcomes:
+            assert ident != threading.get_ident()
+            assert seen == {ident}
+        assert np.array_equal(outcomes[0][2], outcomes[1][2])
+
+    def test_top_level_mc_mean_still_uses_the_pool(self, monkeypatch):
+        monkeypatch.setenv("GAUSS_BUBBLES_THREADS", "2")
+        map_chunks(lambda c: c, 2)  # a finished pool leaves the caller unmarked
+        seen = set()
+
+        def values(x):
+            seen.add(threading.get_ident())
+            return moment_values(x)
+
+        mc_mean(tiled_cfg(False), values)
+        assert threading.get_ident() not in seen
