@@ -600,7 +600,7 @@ def main(argv=None) -> int:
     except GaussBubblesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     for path in written:

@@ -17,12 +17,17 @@ import numpy as np
 
 from .errors import (
     CalibrationError,
+    CapacityError,
     ContractViolationError,
     DomainError,
 )
 from .montecarlo import ALIGN_SUBSTREAM, IntegrationConfig, mc_mean, mc_volumes
 
 _SIMPLEX_TOL = 1e-12
+# Most active-set projectors one PartitionCell may enumerate. 1023 admits
+# simplicial cones up to m=11; each further cell doubles the count, the
+# build and the collar's projection work.
+_MAX_PROJECTORS = 1023
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,6 +450,7 @@ class PartitionCell:
         self.partition = partition
         self.cell = cell
         self._a, self._b = partition.cell_constraints(cell)
+        self._a_norm = np.linalg.norm(self._a, axis=1)
         self._projectors = self._build_projectors()
 
     @property
@@ -454,8 +460,16 @@ class PartitionCell:
     def _build_projectors(self):
         a, _ = self._a, self._b
         rows = a.shape[0]
-        projectors = []
         max_size = min(rows, self.d)
+        # Every subset of at most d rows is a candidate active set, each with
+        # a rank test and an inverse: 2^(m-1)-1 of them for m simplicial cones.
+        count = sum(math.comb(rows, size) for size in range(1, max_size + 1))
+        if count > _MAX_PROJECTORS:
+            raise CapacityError(
+                f"cell {self.cell} of an m={self.partition.m}, d={self.d} partition needs "
+                f"{count} active-set projectors, above the cap of {_MAX_PROJECTORS}"
+            )
+        projectors = []
         for size in range(1, max_size + 1):
             for subset in itertools.combinations(range(rows), size):
                 sub = a[list(subset)]
@@ -471,8 +485,15 @@ class PartitionCell:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return self.partition.classify_points(pts) == self.cell
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
-        """Exact distance from each point to the cell (0 inside)."""
+    def distance(self, points: np.ndarray, limit: float = math.inf) -> np.ndarray:
+        """Distance from each point to the cell (0 inside).
+
+        The result is exact wherever the distance is below ``limit``; every
+        other row gets some value >= ``limit``. With the default ``limit``
+        every row is exact. A row's largest normalised constraint violation
+        is a lower bound on its distance; rows where that bound already
+        reaches ``limit`` skip the projections and read inf.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
         if self._a.shape[0] == 0:
@@ -481,13 +502,23 @@ class PartitionCell:
             return np.full(n, np.inf)
         slack = pts @ self._a.T - self._b[None, :]
         best = np.where(np.all(slack >= -1e-12, axis=1), 0.0, np.inf)
+        # The loop accepts projections that violate a constraint by up to
+        # feasible_tol, so the bound is taken against that relaxed cell, and
+        # the margin on limit keeps rounding from dropping a row whose
+        # computed distance reads below limit.
+        feasible_tol = 1e-9
+        lower = np.max((-feasible_tol - slack) / self._a_norm[None, :], axis=1)
+        todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
+        near = pts[todo]
+        near_best = np.full(todo.size, np.inf)
         for subset, sub, gram_inv in self._projectors:
-            viol = pts @ sub.T - self._b[subset][None, :]
-            proj = pts - (viol @ gram_inv) @ sub
-            feasible = np.all(proj @ self._a.T - self._b[None, :] >= -1e-9, axis=1)
-            dist = np.linalg.norm(pts - proj, axis=1)
-            better = feasible & (dist < best)
-            best = np.where(better, dist, best)
+            viol = near @ sub.T - self._b[subset][None, :]
+            proj = near - (viol @ gram_inv) @ sub
+            feasible = np.all(proj @ self._a.T - self._b[None, :] >= -feasible_tol, axis=1)
+            dist = np.linalg.norm(near - proj, axis=1)
+            better = feasible & (dist < near_best)
+            near_best = np.where(better, dist, near_best)
+        best[todo] = near_best
         return best
 
 
@@ -527,7 +558,10 @@ class RoundCylinder:
         s = self._core_norm(points)
         return s <= self.r if self.orientation == "inside" else s >= self.r
 
-    def distance(self, points: np.ndarray) -> np.ndarray:
+    def distance(self, points: np.ndarray, limit: float = math.inf) -> np.ndarray:
+        """Exact distance to the region (0 inside); ``limit`` is accepted
+        for the PartitionCell.distance contract and ignored, since exact
+        everywhere meets it."""
         s = self._core_norm(points)
         gap = s - self.r if self.orientation == "inside" else self.r - s
         return np.maximum(gap, 0.0)

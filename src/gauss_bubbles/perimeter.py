@@ -256,11 +256,14 @@ def minkowski_perimeter(
     """Surface area from the outer collar: (1/eps) * gamma({x not in region,
     dist(x, region) < eps}), extrapolated to eps -> 0.
 
-    ``region`` needs ``contains`` and an exact ``distance`` oracle (both are
-    provided by PartitionCell and RoundCylinder). All epsilon values share
-    one sample stream, so the table is smooth in epsilon; the bias of the
-    collar is first order in epsilon, and a weighted linear fit returns the
-    intercept.
+    ``region`` needs ``contains`` and a ``distance(points, limit=...)``
+    oracle that is exact wherever the distance is below ``limit`` (both are
+    provided by PartitionCell and RoundCylinder). The integrand passes the
+    largest epsilon as ``limit``, so only rows within that distance of the
+    region are projected exactly; the rest cannot land in any collar. All
+    epsilon values share one sample stream, so the table is smooth in
+    epsilon; the bias of the collar is first order in epsilon, and a
+    weighted linear fit returns the intercept.
     """
     eps = [float(e) for e in eps_schedule]
     if len(eps) < 3:
@@ -274,14 +277,14 @@ def minkowski_perimeter(
 
     def values(x):
         outside = ~region.contains(x)
-        dist = region.distance(x)
+        dist = region.distance(x, limit=eps[0])
         collar = outside[:, None] & (dist[:, None] < eps_arr[None, :])
         return collar.astype(float) / eps_arr[None, :]
 
     res = mc_mean(cfg, values, substream=substream)
     table = [(eps[k], float(res.mean[k]), float(res.stderr[k])) for k in range(len(eps))]
 
-    # Weighted least squares of value против epsilon; intercept is the estimate.
+    # Weighted least squares of value against epsilon; intercept is the estimate.
     y = res.mean
     sig = np.maximum(res.stderr, 1e-15)
     w = 1.0 / sig**2

@@ -125,6 +125,24 @@ class TestErrorPaths:
         assert code == 2
         assert not (tmp_path / "y").exists()
 
+    def test_null_numeric_spec_field_exits_2(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"partition": "propeller3", "samples": None, "seed": 1}))
+        proc = run_cli(["perimeter", "--spec", str(spec), "--out-dir", "out"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_collar_projector_cap_exits_3(self, tmp_path):
+        proc = run_cli(["perimeter", "--method", "minkowski", "--partition", "cones16",
+                        "--samples", "1000", "--seed", "1", "--out-dir", "out"], tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "projectors" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestSpecFiles:
     def test_flags_override_spec_file(self, tmp_path):

@@ -1,13 +1,16 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.special import ndtr
 
 from gauss_bubbles import (
     AffinePartition,
     CalibrationError,
+    CapacityError,
     ContractViolationError,
     DomainError,
     IntegrationConfig,
@@ -280,6 +283,57 @@ class TestSerialization:
         assert len(data["directions"]) == 6  # row-major flat
 
 
+def _parallel_partition():
+    """Cell 0 beats cell 1 everywhere (equal directions, larger offset), so
+    that constraint of cell 0 is dropped and cell 1 is empty."""
+    return AffinePartition(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                           np.array([0.0, -1.0, 0.0]), np.zeros(2))
+
+
+def _near_parallel_partition():
+    """Cell 0 is {x >= 0} and {x >= 2.5e-10} on the line. Projecting onto the
+    first constraint violates the second by 5e-10, within the projector's
+    feasibility slack, so the distance reads 2.5e-10 short of the truth."""
+    return AffinePartition(np.array([[1.0], [0.0], [-1.0]]),
+                           np.array([0.0, 0.0, 5e-10]), np.zeros(1))
+
+
+# (partition, cell) per kind of half-space description.
+LIMIT_CELLS = {
+    "near_parallel": lambda: (_near_parallel_partition(), 0),
+    "propeller": lambda: (propeller_partition(), 0),
+    "perturbed_cones4": lambda: (perturb(simplicial_cone_partition(4), 0.1, 5), 1),
+    "parallel_dropped": lambda: (_parallel_partition(), 0),
+    "empty": lambda: (_parallel_partition(), 1),
+    "unconstrained": lambda: (AffinePartition(np.array([[1.0, 0.0], [1.0, 0.0]]),
+                                              np.array([0.0, -1.0]), np.zeros(2)), 0),
+}
+
+
+def _points_near_faces(a, b, limit, rng):
+    """Points about ``limit`` away from the cell's vertices, edges and faces.
+
+    For every active set of at most d constraints, anchors are placed on the
+    affine hull where those constraints hold with equality, and points on
+    spheres of radius near ``limit`` around each anchor.
+    """
+    d = a.shape[1]
+    radii = limit * np.array([0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0])
+    out = []
+    for size in range(1, min(a.shape[0], d) + 1):
+        for subset in itertools.combinations(range(a.shape[0]), size):
+            sub, rhs = a[list(subset)], b[list(subset)]
+            base = np.linalg.lstsq(sub, rhs, rcond=None)[0]
+            along = null_space(sub)
+            anchors = [base] + [base + along @ (t * rng.standard_normal(along.shape[1]))
+                                for t in (1.0, 2.5)]
+            for anchor in anchors:
+                for r in radii:
+                    u = rng.standard_normal((8, d))
+                    out.append(anchor + r * u / np.linalg.norm(u, axis=1)[:, None])
+    return np.vstack(out) if out else np.zeros((0, d))
+
+
 class TestPartitionCell:
     def test_distance_zero_inside(self):
         cell = PartitionCell(propeller_partition(), 0)
@@ -315,6 +369,59 @@ class TestPartitionCell:
             want = oracles.convex_cell_distance(a, b, point)
             assert mine == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("limit", [0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("kind", sorted(LIMIT_CELLS))
+    def test_limited_distance_is_exact_below_limit(self, kind, limit):
+        part, index = LIMIT_CELLS[kind]()
+        cell = PartitionCell(part, index)
+        a, b = part.cell_constraints(index)
+        rng = np.random.default_rng(31)
+        pts = rng.standard_normal((10_000, part.d))
+        if np.all(np.isfinite(b)):
+            pts = np.vstack([pts, _points_near_faces(a, b, limit, rng)])
+        exact = cell.distance(pts)
+        limited = cell.distance(pts, limit=limit)
+        below = exact < limit
+        assert np.array_equal(limited[below], exact[below])
+        assert np.all(limited[~below] >= limit)
+
+    def test_limited_distance_probes_rows_at_the_limit(self):
+        # The hand-placed points put rows on both sides of the limit within
+        # rounding distance, where a pruning margin that is too tight shows.
+        part, index = LIMIT_CELLS["perturbed_cones4"]()
+        cell = PartitionCell(part, index)
+        a, b = part.cell_constraints(index)
+        pts = _points_near_faces(a, b, 0.1, np.random.default_rng(31))
+        exact = cell.distance(pts)
+        near = np.abs(exact - 0.1) <= 1e-8
+        assert np.any(near & (exact < 0.1)) and np.any(near & (exact >= 0.1))
+
+    def test_limited_distance_matches_qp_oracle(self):
+        part, index = LIMIT_CELLS["perturbed_cones4"]()
+        cell = PartitionCell(part, index)
+        a, b = part.cell_constraints(index)
+        rng = np.random.default_rng(44)
+        pts = rng.standard_normal((3000, 3))
+        limit = 0.05
+        got = cell.distance(pts, limit=limit)
+        kept = np.flatnonzero((got > 0.0) & (got < limit))[:10]
+        dropped = np.flatnonzero(got >= limit)[:5]
+        assert kept.size == 10 and dropped.size == 5
+        for row in kept:
+            assert got[row] == pytest.approx(oracles.convex_cell_distance(a, b, pts[row]), abs=1e-6)
+        for row in dropped:
+            assert oracles.convex_cell_distance(a, b, pts[row]) >= limit - 1e-6
+
+    @pytest.mark.parametrize("m", [9, 11])
+    def test_projector_count_within_cap_builds(self, m):
+        cell = PartitionCell(simplicial_cone_partition(m), 0)
+        assert cell.distance(np.zeros((1, m - 1)))[0] == 0.0
+
+    @pytest.mark.parametrize("m, count", [(12, 2047), (16, 32767)])
+    def test_projector_count_above_cap_raises(self, m, count):
+        with pytest.raises(CapacityError, match=f"cell 0 .* {count} active-set projectors"):
+            PartitionCell(simplicial_cone_partition(m), 0)
+
 
 class TestRoundCylinder:
     def test_validation(self):
@@ -330,6 +437,7 @@ class TestRoundCylinder:
         pts = np.array([[0.5, 0.0, 9.0], [2.0, 0.0, -3.0]])
         assert list(cyl.contains(pts)) == [True, False]
         assert np.allclose(cyl.distance(pts), [0.0, 1.0])
+        assert np.array_equal(cyl.distance(pts, limit=0.1), cyl.distance(pts))
         flipped = cyl.complement()
         assert list(flipped.contains(pts)) == [False, True]
         assert np.allclose(flipped.distance(pts), [0.5, 0.0])

@@ -129,7 +129,34 @@ class TestFacetPerimeter:
             assert part.classify(anchor - 1e-6 * facet.normal) == facet.i
 
 
+class _ExactDistanceRegion:
+    """A region whose distance ignores ``limit`` and is exact on every row."""
+
+    def __init__(self, region):
+        self.region = region
+
+    def contains(self, points):
+        return self.region.contains(points)
+
+    def distance(self, points, limit=math.inf):
+        return self.region.distance(points)
+
+
 class TestMinkowski:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_pruned_collar_is_bit_identical_to_exact_distances(self, antithetic):
+        part = perturb(simplicial_cone_partition(4), 0.1, 3)
+        config = cfg(3, samples=200_000, antithetic=antithetic)
+        schedule = [0.1, 0.05, 0.025]
+        for index in range(part.m):
+            cell = PartitionCell(part, index)
+            got = minkowski_perimeter(cell, schedule, config)
+            want = minkowski_perimeter(_ExactDistanceRegion(cell), schedule, config)
+            assert got.estimate == want.estimate
+            assert got.stderr == want.stderr
+            assert got.slope == want.slope
+            assert got.table == want.table
+
     def test_halfspace_collar_matches_facet(self):
         cell = PartitionCell(half_space_pair(2, 0.0), 0)
         report = minkowski_perimeter(cell, [0.1, 0.05, 0.025], cfg(2, samples=1_000_000))
