@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -98,9 +99,9 @@ def _parse_floats(text: str) -> list[float]:
 def _resolve_partition(token: str, shift=None) -> AffinePartition:
     if token == "propeller3":
         return simplicial_cone_partition(3, shift)
-    if token.startswith("cones"):
-        m = int(token[len("cones"):])
-        return simplicial_cone_partition(m, shift)
+    cones = re.fullmatch(r"cones(\d+)", token)
+    if cones:
+        return simplicial_cone_partition(int(cones.group(1)), shift)
     if token == "halfspaces":
         return half_space_pair(1, 0.0 if shift is None else float(shift[0]))
     if token.startswith("halfspace-split:"):

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .montecarlo import ALIGN_SUBSTREAM, IntegrationConfig, mc_mean, mc_volumes
 
-_SIMPLEX_TOL = 1e-12
 # Most active-set projectors one PartitionCell may enumerate. 1023 admits
 # simplicial cones up to m=11; each further cell doubles the count, the
 # build and the collar's projection work.

@@ -4,9 +4,11 @@ For affine partitions the boundary between cells i and j is a flat piece of
 hyperplane, so its Gaussian mass factorizes exactly: gamma_1(b) (the density
 of the hyperplane offset) times the (d-1)-dimensional standard Gaussian
 measure, within the hyperplane, of the set where i and j are the joint
-argmax. The in-plane measure is evaluated in closed form where the
-hyperplane geometry allows it (a point in d=1, an interval of a 1-D
-Gaussian in d=2) and by in-plane Monte Carlo beyond that. The second
+argmax. The in-plane measure is evaluated in closed form whenever at most
+two other cells constrain a facet (every facet when m <= 4, in any d): it
+is then 1, a normal CDF, or a bivariate normal CDF through Owen's T
+function. In d=2 the region is an interval of a 1-D Gaussian for any m.
+Beyond that the in-plane measure is sampled by Monte Carlo. The second
 estimator uses the outer epsilon-collar definition of surface area and
 extrapolates the collar mass to epsilon -> 0; for affine cells and round
 cylinders the collar test uses exact distances. Round cylinders also get
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.special import ndtr, owens_t
 
 from .errors import (
     ConfigError,
@@ -40,6 +43,9 @@ from .special import chi_square_cdf, sphere_surface_measure
 # Band on the top-two score gap when testing joint-argmax membership;
 # exact ties have measure zero but floating point needs slack.
 _JOINT_ARGMAX_TOL = 1e-12
+# A third cell whose constraint gradient has an in-plane part below this
+# norm is parallel to the facet: its condition is constant on the plane.
+_PARALLEL_TOL = 1e-15
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,28 +113,30 @@ def _facet_membership_fraction(
     """In-hyperplane Gaussian fraction of the joint-argmax region of (i, j).
 
     The region is cut out of the hyperplane by the linear conditions "cells
-    i and j beat cell k". In ambient dimension 1 it is a point and in
-    dimension 2 an interval of a 1-D Gaussian coordinate, both evaluated in
-    closed form. From dimension 3 on, the fraction is estimated by sampling
-    d-1 standard Gaussian coordinates in an orthonormal basis of the
-    hyperplane and testing joint-argmax membership within the tie
-    tolerance. ``extra_mask`` may further restrict the region (e.g. a
-    radial cut) acting on ambient points; it forces the sampling path.
+    i and j beat cell k". Whenever at most two of them depend on the
+    in-plane position (every facet when m <= 4, in any d) the fraction is
+    closed-form (``_planar_facet_fraction``); in d = 2 the region is an
+    interval of a 1-D Gaussian coordinate for any m. Otherwise it is
+    estimated by sampling d-1 standard Gaussian coordinates in an
+    orthonormal basis of the hyperplane and testing joint-argmax membership
+    within the tie tolerance. ``extra_mask`` may further restrict the region
+    (e.g. a radial cut) acting on ambient points; it forces the sampling
+    path, except in d = 1, where the hyperplane is the single point
+    ``anchor``.
     """
     d = partition.d
     anchor = facet.offset * facet.normal
 
-    if d == 1:
-        # The hyperplane is a single point; membership is deterministic.
-        point = anchor[None, :]
-        member = _joint_argmax_mask(partition, facet, point)
-        if extra_mask is not None:
-            member &= extra_mask(point)
-        value = float(member[0])
-        return MeanResult(mean=np.array([value]), stderr=np.array([0.0]), n_observations=1)
-
-    if d == 2 and extra_mask is None:
-        fraction = _line_facet_fraction(partition, facet, anchor)
+    fraction = None
+    if extra_mask is None:
+        if d == 2:
+            fraction = _line_facet_fraction(partition, facet, anchor)
+        else:
+            fraction = _planar_facet_fraction(partition, facet, anchor)
+    elif d == 1:
+        fraction = _planar_facet_fraction(partition, facet, anchor)
+        fraction *= float(extra_mask(anchor[None, :])[0])
+    if fraction is not None:
         return MeanResult(mean=np.array([fraction]), stderr=np.array([0.0]), n_observations=1)
 
     basis = _hyperplane_basis(facet.normal)
@@ -167,7 +175,7 @@ def _line_facet_fraction(partition: AffinePartition, facet: InterfaceFacet, anch
             continue
         alpha = float((anchor @ (z[facet.i] - z[k])) + c[facet.i] - c[k])
         beta = float(basis @ (z[facet.i] - z[k]))
-        if abs(beta) <= 1e-15:
+        if abs(beta) <= _PARALLEL_TOL:
             if alpha < -_JOINT_ARGMAX_TOL:
                 return 0.0
             continue
@@ -181,6 +189,69 @@ def _line_facet_fraction(partition: AffinePartition, facet: InterfaceFacet, anch
     upper = 1.0 if math.isinf(hi) else normal_cdf(hi)
     lower = 0.0 if math.isinf(lo) else normal_cdf(lo)
     return max(upper - lower, 0.0)
+
+
+def _planar_facet_fraction(
+    partition: AffinePartition, facet: InterfaceFacet, anchor
+) -> float | None:
+    """Exact in-plane fraction when at most two third cells vary on the plane.
+
+    On the hyperplane, x = anchor + y with y orthogonal to the normal n, and
+    "cell i beats cell k" reads alpha_k + <p_k, y> >= 0, where
+    g_k = z_i - z_k, alpha_k = <anchor, g_k> + c_i - c_k and
+    p_k = g_k - <g_k, n> n. A constraint with p_k = 0 is constant on the
+    plane; the others hold with standard normal probability Phi(t_k),
+    t_k = alpha_k / |p_k|, and two of them jointly with the bivariate normal
+    CDF at correlation <p_1, p_2> / (|p_1| |p_2|). Returns None when three
+    or more constraints vary on the plane.
+    """
+    z, c = partition.directions, partition.offsets
+    others = [k for k in range(partition.m) if k not in (facet.i, facet.j)]
+    g = z[facet.i] - z[others]
+    alpha = g @ anchor + c[facet.i] - c[others]
+    p = g - np.outer(g @ facet.normal, facet.normal)
+    norms = np.linalg.norm(p, axis=1)
+    flat = norms <= _PARALLEL_TOL
+    if np.any(alpha[flat] < -_JOINT_ARGMAX_TOL):
+        return 0.0
+    t = alpha[~flat] / norms[~flat]
+    u = p[~flat] / norms[~flat, None]
+    if t.size == 0:
+        return 1.0
+    if t.size == 1:
+        return float(ndtr(t[0]))
+    if t.size == 2:
+        r = float(np.clip(u[0] @ u[1], -1.0, 1.0))
+        return _bivariate_normal_cdf(float(t[0]), float(t[1]), r)
+    return None
+
+
+def _bivariate_normal_cdf(h: float, k: float, r: float) -> float:
+    """P(X <= h, Y <= k) for standard normals X, Y with correlation r.
+
+    Owen's formula through his T function (D. B. Owen, "Tables for
+    computing bivariate normal probabilities", Ann. Math. Stat. 27, 1956).
+    """
+    if r == 1.0:
+        return float(ndtr(min(h, k)))
+    if r == -1.0:
+        return max(float(ndtr(h) + ndtr(k)) - 1.0, 0.0)
+    s = math.sqrt(1.0 - r * r)
+    if h == 0.0 and k == 0.0:
+        return 0.25 + math.asin(r) / (2.0 * math.pi)
+    if h == 0.0:
+        value = 0.5 * ndtr(k) - owens_t(k, -r / s)
+    elif k == 0.0:
+        value = 0.5 * ndtr(h) - owens_t(h, -r / s)
+    else:
+        value = (
+            0.5 * ndtr(h)
+            + 0.5 * ndtr(k)
+            - owens_t(h, (k - r * h) / (h * s))
+            - owens_t(k, (h - r * k) / (k * s))
+            - (0.5 if h * k < 0.0 else 0.0)
+        )
+    return min(max(float(value), 0.0), 1.0)
 
 
 def _joint_argmax_mask(partition, facet, points) -> np.ndarray:

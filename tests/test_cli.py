@@ -184,6 +184,21 @@ class TestSpecFiles:
             }
         assert contents["1"] == contents["4"] == contents["8"]
 
+    def test_partition_files_named_like_builtins(self, tmp_path, monkeypatch):
+        # only "cones<m>" names the built-in family; other names starting
+        # with "cones" are partition files
+        from gauss_bubbles import propeller_partition
+        monkeypatch.chdir(tmp_path)
+        for name in ("cones_mine.json", "cones4_0.json"):
+            (tmp_path / name).write_text(propeller_partition().to_json())
+        for token, facets in (("cones_mine.json", 3), ("cones4_0.json", 3), ("cones4", 6)):
+            out = tmp_path / token.replace(".", "_")
+            code = main(["perimeter", "--partition", token, "--samples", "10000",
+                         "--seed", "1", "--out-dir", str(out)])
+            assert code == 0, token
+            rows = (out / "perimeter_facets.csv").read_text().splitlines()
+            assert len(rows) == 1 + facets, token
+
 
 def write_corpus_case(path: Path, name: str, spec: dict, expect: list):
     path.write_text(json.dumps({"name": name, "spec": spec, "expect": expect}))

@@ -288,10 +288,19 @@ class TestDivergenceIdentity:
         assert report.passed, (report.residual, report.combined_stderr)
 
     def test_cone_cell_in_three_dimensions(self):
-        # d=3 surface side comes from sampled facet fractions
+        # m=4: every facet has at most two other cells, so the surface side
+        # is closed-form
         cfg = IntegrationConfig(sample_count=400_000, seed=3, dimension=3,
                                 chunk_size=50_000)
         report = divergence_identity_check(simplicial_cone_partition(4), 1, cfg)
+        assert report.surface_stderr.max() == 0.0
+        assert report.passed, (report.residual, report.combined_stderr)
+
+    def test_cone_cell_in_four_dimensions(self):
+        # m=5: three other cells cut each facet, so its fraction is sampled
+        cfg = IntegrationConfig(sample_count=400_000, seed=3, dimension=4,
+                                chunk_size=50_000)
+        report = divergence_identity_check(simplicial_cone_partition(5), 1, cfg)
         assert report.surface_stderr.max() > 0.0
         assert report.passed, (report.residual, report.combined_stderr)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import gammainc, ndtr
+from scipy.stats import multivariate_normal
 
 from gauss_bubbles import (
     AffinePartition,
@@ -25,6 +26,7 @@ from gauss_bubbles import (
     symmetric_scan,
     tail_perimeter_check,
 )
+from gauss_bubbles.perimeter import _bivariate_normal_cdf, facet_mass
 from gauss_bubbles.special import chi_square_cdf, regularized_gamma_p, sphere_surface_measure
 
 import oracles
@@ -32,6 +34,11 @@ import oracles
 GAMMA1_0 = 1.0 / math.sqrt(2.0 * math.pi)
 GAMMA1_1 = GAMMA1_0 * math.exp(-0.5)
 PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
+
+
+def all_true(points):
+    """Extra mask that keeps every point; it forces the in-plane sampler."""
+    return np.ones(points.shape[0], dtype=bool)
 
 
 def cfg(d, samples=400_000, seed=7, antithetic=False):
@@ -61,26 +68,34 @@ class TestFacetPerimeter:
             assert mass == pytest.approx(each, abs=3.0 * err + 1e-12)
 
     def test_in_plane_sampler_agrees_with_closed_form_in_3d(self):
-        # embed the propeller in R^3: facets are 2-D, so the in-plane
-        # fraction is sampled; totals must agree with the d=2 closed form
+        # embed the propeller in R^3: facets are 2-D with one other cell, so
+        # the in-plane fraction is closed-form and equals the d=2 value; an
+        # all-true extra mask forces the sampler, which must agree within 3σ
         prop = propeller_partition()
         directions = np.zeros((3, 3))
         directions[:, :2] = prop.directions
         embedded = AffinePartition(directions, prop.offsets.copy(), np.zeros(3))
         report = facet_perimeter(embedded, cfg(3, samples=400_000))
-        assert report.total_stderr > 0.0
-        assert report.total == pytest.approx(PROPELLER_PERIMETER,
-                                             abs=3.0 * report.total_stderr)
+        assert report.total_stderr == 0.0
+        assert report.total == pytest.approx(PROPELLER_PERIMETER, rel=1e-12)
+        sampled = [facet_mass(embedded, facet, cfg(3, samples=400_000), extra_mask=all_true)
+                   for facet in interface_facets(embedded)]
+        total = sum(mass for mass, _ in sampled)
+        total_stderr = math.sqrt(sum(err * err for _, err in sampled))
+        assert total_stderr > 0.0
+        assert total == pytest.approx(PROPELLER_PERIMETER, abs=3.0 * total_stderr)
 
     def test_rotation_invariance_with_sampled_facets(self):
-        # d=3 exercises the in-plane Monte Carlo path on both sides
-        part = simplicial_cone_partition(4)
+        # m=5, d=4: three other cells cut each facet, so the in-plane Monte
+        # Carlo path runs on both sides
+        part = simplicial_cone_partition(5)
         rng = np.random.default_rng(5)
-        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         if np.linalg.det(rot) < 0:
             rot[:, 0] = -rot[:, 0]
-        base = facet_perimeter(part, cfg(3, samples=200_000))
-        rotated = facet_perimeter(part.rotated(rot), cfg(3, samples=200_000, seed=8))
+        base = facet_perimeter(part, cfg(4, samples=200_000))
+        rotated = facet_perimeter(part.rotated(rot), cfg(4, samples=200_000, seed=8))
+        assert base.total_stderr > 0.0 and rotated.total_stderr > 0.0
         tol = 3.0 * math.hypot(base.total_stderr, rotated.total_stderr)
         assert abs(base.total - rotated.total) <= tol
 
@@ -127,6 +142,96 @@ class TestFacetPerimeter:
             anchor = facet.offset * facet.normal
             assert part.classify(anchor + 1e-6 * facet.normal) == facet.j
             assert part.classify(anchor - 1e-6 * facet.normal) == facet.i
+
+
+def _bvn_cases():
+    fixed = [
+        (0.0, 0.0, 0.3), (0.0, 0.0, -0.7),  # h = k = 0
+        (0.0, 1.2, 0.5), (0.0, -1.2, 0.5),  # one zero, either sign
+        (1.1, 0.0, -0.4), (-1.1, 0.0, -0.4),
+        (1.0, -2.0, 0.3), (-0.4, 1.7, -0.6),  # hk < 0
+        (0.5, 0.7, 1.0), (0.5, -0.7, 1.0),  # r = 1
+        (0.5, 0.7, -1.0), (0.5, -0.7, -1.0),  # r = -1, nonempty and empty
+        (0.3, 0.2, 0.999), (0.3, -0.2, -0.999), (-1.3, 0.4, 0.999),
+    ]
+    rng = np.random.default_rng(42)
+    hk = rng.normal(0.0, 1.5, size=(40, 2))
+    r = rng.uniform(-1.0, 1.0, size=40)
+    return fixed + [(float(h), float(k), float(c)) for (h, k), c in zip(hk, r)]
+
+
+def _perturbed_cones4(seed):
+    rng = np.random.default_rng(seed)
+    apex = rng.normal(0.0, 0.3, size=3)
+    return perturb(simplicial_cone_partition(4, apex), 0.15, seed)
+
+
+class TestClosedFormFacetFraction:
+    """The in-plane fraction is exact when at most two other cells cut a facet."""
+
+    @pytest.mark.parametrize("h,k,r", _bvn_cases())
+    def test_bivariate_normal_cdf_matches_scipy(self, h, k, r):
+        expected = multivariate_normal.cdf(
+            [h, k], mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]], allow_singular=True,
+            abseps=1e-12, maxpts=10**7, rng=np.random.default_rng(1))
+        assert _bivariate_normal_cdf(h, k, r) == pytest.approx(expected, abs=1e-12)
+
+    def test_unperturbed_cones4_total(self):
+        # each of the 6 facets: gamma_1(0) times an orthant probability with
+        # correlation 1/3 between its two in-plane constraints
+        expected = 6.0 * GAMMA1_0 * (0.25 + math.asin(1.0 / 3.0) / (2.0 * math.pi))
+        assert expected == pytest.approx(0.72787830663753, rel=1e-12)
+        report = facet_perimeter(simplicial_cone_partition(4), cfg(3))
+        assert report.total == pytest.approx(expected, rel=1e-12)
+        assert report.total_stderr == 0.0
+
+    def test_rotation_invariance(self):
+        part = _perturbed_cones4(3)
+        rng = np.random.default_rng(5)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        base = facet_perimeter(part, cfg(3))
+        rotated = facet_perimeter(part.rotated(rot), cfg(3, seed=8))
+        assert rotated.total == pytest.approx(base.total, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_perturbed_cones4_facets_match_sampler(self, seed):
+        part = _perturbed_cones4(seed)
+        config = IntegrationConfig(sample_count=2_000_000, seed=seed, dimension=3,
+                                   chunk_size=250_000)
+        for facet in interface_facets(part):
+            exact, exact_err = facet_mass(part, facet, config)
+            sampled, err = facet_mass(part, facet, config, extra_mask=all_true)
+            assert exact_err == 0.0
+            assert err > 0.0
+            assert abs(exact - sampled) <= 4.0 * err, (facet.i, facet.j)
+
+    @pytest.mark.parametrize("c0,expected", [(1.0, GAMMA1_1), (-1.0, 0.0)])
+    def test_constraint_parallel_to_the_facet(self, c0, expected):
+        # z_0 - z_2 is parallel to the normal of facet (0, 1): cell 2 cuts
+        # that plane nowhere or everywhere. With c0 = 1, cell 0 is the slab
+        # |x_1| <= 1 and the facet is all of x_1 = 1; with c0 = -1 it is empty
+        part = AffinePartition(np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [-1.0, 1.0, 0.0]]),
+                               np.array([c0, 0.0, 0.0]), np.zeros(3))
+        facet = next(f for f in interface_facets(part) if (f.i, f.j) == (0, 1))
+        config = cfg(3, samples=100_000)
+        mass, err = facet_mass(part, facet, config)
+        assert mass == pytest.approx(expected, rel=1e-12)
+        assert err == 0.0
+        sampled, _ = facet_mass(part, facet, config, extra_mask=all_true)
+        assert sampled == pytest.approx(expected, rel=1e-12)
+
+    def test_sampled_paths_are_unchanged(self, monkeypatch):
+        # three other cells per facet (cones5) and a radial mask (tail check)
+        # must still run the in-plane sampler, bit for bit
+        cones5 = perturb(simplicial_cone_partition(5), 0.1, 4)
+        cones4 = simplicial_cone_partition(4)
+        facets = facet_perimeter(cones5, cfg(4, samples=100_000))
+        tail = tail_perimeter_check(cones4, 2.0, None, cfg(3, samples=100_000))
+        monkeypatch.setattr("gauss_bubbles.perimeter._planar_facet_fraction",
+                            lambda *args: None)
+        assert facet_perimeter(cones5, cfg(4, samples=100_000)) == facets
+        assert tail_perimeter_check(cones4, 2.0, None, cfg(3, samples=100_000)) == tail
+        assert facets.total_stderr > 0.0 and tail.stderr > 0.0
 
 
 class _ExactDistanceRegion:
@@ -307,6 +412,15 @@ class TestTailDecay:
                                       cfg(2, samples=1_000_000))
         assert report.tail_mass == pytest.approx(expected, abs=3.0 * report.stderr + 1e-5)
         assert report.passed
+
+    def test_one_dimensional_facet_is_a_point(self):
+        # d=1: the facet is the point x = t, inside the tail exactly when |t| > r
+        config = cfg(1, samples=50_000)
+        outside = tail_perimeter_check(half_space_pair(1, 2.5), 2.0, None, config)
+        assert outside.tail_mass == pytest.approx(GAMMA1_0 * math.exp(-3.125), rel=1e-12)
+        assert outside.stderr == 0.0
+        inside = tail_perimeter_check(half_space_pair(1, 1.5), 2.0, None, config)
+        assert inside.tail_mass == 0.0
 
     def test_large_radius_vanishes(self):
         report = tail_perimeter_check(propeller_partition(), 6.0, None,
