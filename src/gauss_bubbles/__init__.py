@@ -44,7 +44,6 @@ from .partitions import (
     RoundCylinder,
     align_rotation,
     calibrate_offsets_to_volumes,
-    classify,
     half_space_pair,
     perturb,
     propeller_partition,

@@ -9,6 +9,13 @@ than by Box-Muller; with ``antithetic=True`` the second half of every chunk
 is the exact reflection ``-X`` of the first half, so antithetic pairs cancel
 odd integrands exactly.
 
+``mc_mean`` reduces each chunk to column sums and sums of squares. Integrands
+over the cells of a partition (volumes, moment vectors, noise stability) use
+its grouped form: they label each row with its cell, and each chunk sums the
+values of every cell over that cell's rows only, instead of summing a dense
+one-hot product that is zero almost everywhere. Both forms give the same
+bits.
+
 Conventions used throughout the package:
 
 * ``gamma_k(x) = (2*pi)**(-k/2) * exp(-|x|^2/2)`` is the standard Gaussian
@@ -189,6 +196,7 @@ def mc_mean(
     value_fn: Callable,
     substream: int = MAIN_SUBSTREAM,
     pair_rho: float | None = None,
+    groups: int | None = None,
 ) -> MeanResult:
     """Estimate E[value_fn(X)] (or E[value_fn(X, Y)] for correlated pairs).
 
@@ -199,7 +207,19 @@ def mc_mean(
     The tiles are reassembled into the chunk's full value array, so results
     do not depend on the tile size. Antithetic pairs are folded into single
     observations before the moments are accumulated.
+
+    With ``groups=k`` the reduction is grouped: ``value_fn`` returns
+    ``(labels, values)``, where ``labels`` is an int per row in [0, k] (k
+    means "no group") and ``values`` is an (n, q) array, or None for the
+    constant 1. The result has (k + 1) * q columns. Column block g < k
+    estimates E[values * 1{label = g}]: the same columns, in the same order
+    and to the same bits, as the dense product ``one_hot(labels, k) x values``
+    through the per-row path, but each chunk sums only the rows of group g.
+    The last block estimates E[values * 1{label < k}], the sum over groups
+    taken per row, so its error includes the correlation between groups.
     """
+    if groups is not None and groups < 1:
+        raise ContractViolationError("groups must be a positive group count")
 
     def work(chunk: int):
         if pair_rho is None:
@@ -207,18 +227,26 @@ def mc_mean(
         else:
             blocks = _pair_chunk(cfg, pair_rho, substream, chunk)
         rows = cfg.chunk_size
-        v = None
+        labels = v = None
         for start in range(0, rows, _TILE_ROWS):
             stop = min(start + _TILE_ROWS, rows)
-            tile = np.asarray(value_fn(*(b[start:stop] for b in blocks)), dtype=float)
-            if v is None:
-                v = np.empty((rows,) + tile.shape[1:])
-            v[start:stop] = tile
-        if v.ndim == 1:
+            out = value_fn(*(b[start:stop] for b in blocks))
+            if groups is not None:
+                labels = _place(labels, start, stop, rows, np.asarray(out[0], dtype=np.intp))
+                out = out[1]
+                if out is None:
+                    continue
+            v = _place(v, start, stop, rows, np.asarray(out, dtype=float))
+        if v is not None and v.ndim == 1:
             v = v[:, None]
+        if groups is not None:
+            return _grouped_sums(labels, v, groups, cfg.antithetic)
         if cfg.antithetic:
+            # 0.5 * (v(x) + v(-x)), formed in the chunk's own buffer.
             h = v.shape[0] // 2
-            v = 0.5 * (v[:h] + v[h:])
+            v[:h] += v[h:]
+            v = v[:h]
+            v *= 0.5
         return v.sum(axis=0), np.einsum("ij,ij->j", v, v)
 
     parts = map_chunks(work, cfg.n_chunks)
@@ -236,6 +264,65 @@ def mc_mean(
     else:
         stderr = np.full_like(mean, np.inf)
     return MeanResult(mean=mean, stderr=stderr, n_observations=n)
+
+
+def _place(buf, start: int, stop: int, rows: int, tile: np.ndarray) -> np.ndarray:
+    """Copy one tile's output into the chunk-sized buffer, made on first use."""
+    if buf is None:
+        buf = np.empty((rows,) + tile.shape[1:], dtype=tile.dtype)
+    buf[start:stop] = tile
+    return buf
+
+
+def _grouped_sums(labels: np.ndarray, v, k: int, antithetic: bool):
+    """Per-group sums and sums of squares of one chunk, (k + 1) * q columns."""
+    if np.any((labels < 0) | (labels > k)):
+        raise ContractViolationError(f"group labels must lie in [0, {k}]")
+    parts = [_masked_sums(labels == g, v, antithetic) for g in range(k)]
+    parts.append(_masked_sums(labels < k, v, antithetic))
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def _masked_sums(member: np.ndarray, v, antithetic: bool):
+    """Sum and sum of squares of ``v * member`` over one chunk's observations.
+
+    Only member rows are visited. Rows outside the mask contribute exact
+    zeros to the per-row path's sequential sums, so skipping them changes no
+    bit. With antithetic pairs a pair is kept when either half is a member,
+    and it is folded as 0.5 * (v(x) + v(-x)) exactly as the per-row path does.
+    """
+    if antithetic:
+        h = member.size // 2
+        first, second = member[:h], member[h:]
+        if v is None:
+            # Folded indicators are 0.5 or 1; these sums are exact in floats.
+            hits = np.count_nonzero(first) + np.count_nonzero(second)
+            both = np.count_nonzero(first & second)
+            return np.array([0.5 * hits]), np.array([0.25 * hits + 0.5 * both])
+        if first.all() and second.all():
+            obs = 0.5 * (v[:h] + v[h:])
+        else:
+            # Form 0.5 * (v(x) + v(-x)) with the non-member half read as 0.
+            rows = np.flatnonzero(first | second)
+            obs = v.take(rows, axis=0)
+            in_first, in_second = first[rows], second[rows]
+            only_second = ~in_first
+            obs[only_second] = v.take(h + rows[only_second], axis=0)
+            both = in_first & in_second
+            obs[both] += v.take(h + rows[both], axis=0)
+            obs *= 0.5
+    else:
+        if v is None:
+            hits = float(np.count_nonzero(member))
+            return np.array([hits]), np.array([hits])
+        obs = v if member.all() else np.compress(member, v, axis=0)
+    if obs.shape[1] == 1 and obs.shape[0] > 0:
+        # numpy sums a lone contiguous column pairwise, but the per-row path's
+        # one-hot product is wider and summed row by row, as cumsum does.
+        return np.cumsum(obs, axis=0)[-1], np.cumsum(obs * obs, axis=0)[-1]
+    # For two or more columns both einsums add row by row, like the per-row
+    # path's sum(axis=0), and run several times faster than it.
+    return np.einsum("ij->j", obs), np.einsum("ij,ij->j", obs, obs)
 
 
 def gaussian_density(x, k: int | None = None) -> float:
@@ -278,10 +365,6 @@ def _check_partition(partition, cfg: IntegrationConfig):
         )
 
 
-def _one_hot(cells: np.ndarray, m: int) -> np.ndarray:
-    return (cells[:, None] == np.arange(m)[None, :]).astype(float)
-
-
 @dataclass(frozen=True)
 class VolumeReport:
     """Gaussian cell volumes estimated by classifying Monte Carlo samples."""
@@ -307,14 +390,15 @@ def mc_volumes(partition, cfg: IntegrationConfig) -> VolumeReport:
     m = partition.m
 
     def values(x):
-        return _one_hot(partition.classify_points(x), m)
+        return partition.classify_points(x), None
 
-    res = mc_mean(cfg, values)
+    res = mc_mean(cfg, values, groups=m)
+    volumes, stderr = res.mean[:m], res.stderr[:m]
     # Pair-folded indicator sums are multiples of 1/2, exact in binary floats,
     # so the per-cell sample counts can be recovered exactly.
     scale = 2.0 if cfg.antithetic else 1.0
-    counts = np.rint(res.mean * res.n_observations * scale).astype(np.int64)
-    return VolumeReport(volumes=res.mean, stderr=res.stderr, counts=counts, config=cfg)
+    counts = np.rint(volumes * res.n_observations * scale).astype(np.int64)
+    return VolumeReport(volumes=volumes, stderr=stderr, counts=counts, config=cfg)
 
 
 @dataclass(frozen=True)
@@ -378,15 +462,14 @@ def mc_moments(partition, w, cfg: IntegrationConfig) -> MomentReport:
         raise ContractViolationError(f"shift w has size {w.size}, expected {d}")
 
     def values(x):
-        hot = _one_hot(partition.classify_points(x), m)
-        mom = (x[:, None, :] * hot[:, :, None]).reshape(x.shape[0], m * d)
-        return np.concatenate([hot, mom], axis=1)
+        return partition.classify_points(x), np.hstack([np.ones((x.shape[0], 1)), x])
 
-    res = mc_mean(cfg, values)
-    volumes = res.mean[:m]
-    volumes_stderr = res.stderr[:m]
-    moments = res.mean[m:].reshape(m, d)
-    moments_stderr = res.stderr[m:].reshape(m, d)
+    # Per cell: the volume column (values 1), then the d moment columns.
+    res = mc_mean(cfg, values, groups=m)
+    mean = res.mean[: m * (d + 1)].reshape(m, d + 1)
+    err = res.stderr[: m * (d + 1)].reshape(m, d + 1)
+    volumes, moments = mean[:, 0].copy(), mean[:, 1:].copy()
+    volumes_stderr, moments_stderr = err[:, 0].copy(), err[:, 1:].copy()
 
     if np.any(w != 0.0) and np.any(volumes == 0.0):
         empty = int(np.flatnonzero(volumes == 0.0)[0])

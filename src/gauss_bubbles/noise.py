@@ -34,7 +34,6 @@ from .montecarlo import (
     IntegrationConfig,
     mc_mean,
     mc_moments,
-    mc_volumes,
 )
 
 
@@ -53,9 +52,11 @@ class NoiseStabilityReport:
 def noise_stability_partition(partition, rho: float, cfg: IntegrationConfig) -> NoiseStabilityReport:
     """Noise stability of every cell and their total.
 
-    The total column is accumulated as its own observable (the indicator
-    that both points classify identically), so its standard error is a plain
-    Bernoulli error rather than a quadrature sum over correlated cells.
+    A pair is grouped by the cell both points share, or left ungrouped when
+    they differ. The total is the grouped reduction's sum over groups, the
+    indicator that both points classify identically, accumulated per pair as
+    its own observable: its standard error is a plain Bernoulli error rather
+    than a quadrature sum over correlated cells.
     """
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must satisfy |rho| < 1, got {rho}")
@@ -64,11 +65,9 @@ def noise_stability_partition(partition, rho: float, cfg: IntegrationConfig) -> 
     def values(x, y):
         cx = partition.classify_points(x)
         cy = partition.classify_points(y)
-        both = (cx[:, None] == np.arange(m)[None, :]) & (cy[:, None] == np.arange(m)[None, :])
-        agree = (cx == cy).astype(float)
-        return np.concatenate([both.astype(float), agree[:, None]], axis=1)
+        return np.where(cx == cy, cx, m), None
 
-    res = mc_mean(cfg, values, substream=PAIR_SUBSTREAM, pair_rho=rho)
+    res = mc_mean(cfg, values, substream=PAIR_SUBSTREAM, pair_rho=rho, groups=m)
     return NoiseStabilityReport(
         rho=rho,
         per_cell=res.mean[:m],
@@ -219,9 +218,11 @@ def noise_stability_certificate(
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must satisfy |rho| < 1, got {rho}")
 
-    vol_ref = mc_volumes(reference, cfg)
-    vol_cand = mc_volumes(candidate, cfg)
-    gap = float(np.max(np.abs(vol_ref.volumes - vol_cand.volumes)))
+    # The moment reports carry the volumes of the same stream, so they also
+    # settle the volume precondition.
+    mom_ref = mc_moments(reference, w, cfg)
+    mom_cand = mc_moments(candidate, w, cfg)
+    gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
     if gap > vol_tol:
         raise PreconditionError(
             f"cell volumes differ by {gap:.4f} > vol_tol={vol_tol}; calibrate first"
@@ -229,8 +230,6 @@ def noise_stability_certificate(
 
     stab_ref = noise_stability_partition(reference, rho, cfg)
     stab_cand = noise_stability_partition(candidate, rho, cfg)
-    mom_ref = mc_moments(reference, w, cfg)
-    mom_cand = mc_moments(candidate, w, cfg)
 
     rate = epsilon * math.sqrt(1.0 - rho * rho) * math.sqrt(math.pi / 2.0)
     rhs_core = stab_ref.total - rate * (mom_ref.moment_functional - mom_cand.moment_functional)

@@ -94,7 +94,8 @@ class OptimizeResult:
     partition: AffinePartition
     objective: float
     objective_stderr: float
-    trace: list = field(default_factory=list)  # (evaluation, objective, residual)
+    # (evaluation, objective, calibration residual); NaN residual when infeasible
+    trace: list = field(default_factory=list)
     restart_values: list = field(default_factory=list)
     alignment_misalignment: float = math.nan
     alignment_rotation: np.ndarray | None = None
@@ -141,13 +142,15 @@ class _Objective:
         self.warm_offsets = calibrated.offsets.copy()
         return calibrated
 
-    def value(self, partition: AffinePartition) -> float:
+    def value(self, partition: AffinePartition) -> tuple[float, float]:
+        """(objective, calibration residual max |volume - target|), both read
+        from one moment report on the search stream."""
+        report = mc_moments(partition, self.w, self.mc)
+        residual = float(np.max(np.abs(report.volumes - self.cfg.targets)))
         if self.kind == "moment":
-            m, _ = moment_objective(partition, self.w, self.mc)
-            return -m
+            return -report.moment_functional, residual
         perim = facet_perimeter(partition, self.mc).total
-        m, _ = moment_objective(partition, self.w, self.mc)
-        return perim + self.eps * _PENALTY_FACTOR * m
+        return perim + self.eps * _PENALTY_FACTOR * report.moment_functional, residual
 
     def __call__(self, params: np.ndarray) -> float:
         self.evaluations += 1
@@ -155,8 +158,8 @@ class _Objective:
         if partition is None:
             self.trace.append((self.evaluations, _INFEASIBLE, math.nan))
             return _INFEASIBLE
-        val = self.value(partition)
-        self.trace.append((self.evaluations, val, 0.0))
+        val, residual = self.value(partition)
+        self.trace.append((self.evaluations, val, residual))
         return val
 
 

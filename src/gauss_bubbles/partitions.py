@@ -211,11 +211,6 @@ def half_space_pair(d: int = 1, threshold: float = 0.0) -> AffinePartition:
     return AffinePartition(directions, np.array([-threshold, threshold]), w)
 
 
-def classify(partition: AffinePartition, x) -> int:
-    """Cell index of a single point (lowest index wins any tie)."""
-    return partition.classify(x)
-
-
 def perturb(partition: AffinePartition, magnitude: float, seed: int) -> AffinePartition:
     """Add Gaussian noise of the given size to directions and offsets.
 

@@ -336,11 +336,7 @@ def minkowski_perimeter(
     epsilon; the bias of the collar is first order in epsilon, and a
     weighted linear fit returns the intercept.
     """
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 3:
-        raise ConfigError("the epsilon schedule needs at least 3 values")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ConfigError("the epsilon schedule must be strictly decreasing and positive")
+    eps = _check_schedule(eps_schedule)
     if not hasattr(region, "contains") or not hasattr(region, "distance"):
         raise ConfigError("region must provide contains() and distance()")
 
@@ -354,23 +350,30 @@ def minkowski_perimeter(
 
     res = mc_mean(cfg, values, substream=substream)
     table = [(eps[k], float(res.mean[k]), float(res.stderr[k])) for k in range(len(eps))]
+    intercept, intercept_err, slope = _collar_fit(eps_arr, res.mean, res.stderr)
+    return MinkowskiReport(estimate=intercept, stderr=intercept_err, table=table, slope=slope)
 
-    # Weighted least squares of value against epsilon; intercept is the estimate.
-    y = res.mean
-    sig = np.maximum(res.stderr, 1e-15)
+
+def _check_schedule(eps_schedule) -> list[float]:
+    eps = [float(e) for e in eps_schedule]
+    if len(eps) < 3:
+        raise ConfigError("the epsilon schedule needs at least 3 values")
+    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ConfigError("the epsilon schedule must be strictly decreasing and positive")
+    return eps
+
+
+def _collar_fit(eps: np.ndarray, y: np.ndarray, stderr: np.ndarray) -> tuple[float, float, float]:
+    """(intercept, its stderr, slope) of a weighted least-squares line through
+    the collar values against epsilon; the intercept is the eps -> 0 limit."""
+    sig = np.maximum(stderr, 1e-15)
     w = 1.0 / sig**2
-    sw, sx, sy = w.sum(), (w * eps_arr).sum(), (w * y).sum()
-    sxx, sxy = (w * eps_arr * eps_arr).sum(), (w * eps_arr * y).sum()
+    sw, sx, sy = w.sum(), (w * eps).sum(), (w * y).sum()
+    sxx, sxy = (w * eps * eps).sum(), (w * eps * y).sum()
     det = sw * sxx - sx * sx
     intercept = (sxx * sy - sx * sxy) / det
     slope = (sw * sxy - sx * sy) / det
-    intercept_err = math.sqrt(max(sxx / det, 0.0))
-    return MinkowskiReport(
-        estimate=float(intercept),
-        stderr=float(intercept_err),
-        table=table,
-        slope=float(slope),
-    )
+    return float(intercept), math.sqrt(max(sxx / det, 0.0)), float(slope)
 
 
 def minkowski_partition_perimeter(
@@ -378,26 +381,40 @@ def minkowski_partition_perimeter(
 ) -> MinkowskiReport:
     """Collar estimate of the total partition perimeter.
 
-    Sums the collar perimeters of every cell and divides by two, because
-    each interface is the boundary of exactly two cells. Cells use disjoint
-    substreams so their errors combine in quadrature.
+    Every cell's collar is measured on one sample stream: each row is
+    classified once, and its distance to each cell it lies outside is
+    computed exactly up to the largest epsilon. The table keeps a row per
+    (cell, epsilon). The total is fitted from the per-row sum of the cell
+    collars, halved because each interface is the boundary of exactly two
+    cells; because that sum is formed per row, its standard error includes
+    the correlation between cells that share the stream.
     """
     from .partitions import PartitionCell
 
-    total = 0.0
-    var = 0.0
-    tables = []
-    slope = 0.0
-    for i in range(partition.m):
-        rep = minkowski_perimeter(
-            PartitionCell(partition, i), eps_schedule, cfg, substream=COLLAR_SUBSTREAM + 10 + i
-        )
-        total += 0.5 * rep.estimate
-        var += (0.5 * rep.stderr) ** 2
-        slope += 0.5 * rep.slope
-        tables.extend((i,) + row for row in rep.table)
+    eps = _check_schedule(eps_schedule)
+    eps_arr = np.array(eps)
+    m, k = partition.m, len(eps)
+    cells = [PartitionCell(partition, i) for i in range(m)]
+
+    def values(x):
+        label = partition.classify_points(x)
+        out = np.zeros((x.shape[0], m + 1, k))
+        for i, cell in enumerate(cells):
+            outside = np.flatnonzero(label != i)
+            dist = cell.distance(x[outside], limit=eps[0])
+            out[outside, i] = (dist[:, None] < eps_arr[None, :]) / eps_arr[None, :]
+        out[:, m] = out[:, :m].sum(axis=1)
+        return out.reshape(x.shape[0], (m + 1) * k)
+
+    res = mc_mean(cfg, values, substream=COLLAR_SUBSTREAM)
+    mean = res.mean.reshape(m + 1, k)
+    err = res.stderr.reshape(m + 1, k)
+    table = [
+        (i, eps[j], float(mean[i, j]), float(err[i, j])) for i in range(m) for j in range(k)
+    ]
+    intercept, intercept_err, slope = _collar_fit(eps_arr, mean[m], err[m])
     return MinkowskiReport(
-        estimate=total, stderr=math.sqrt(var), table=tables, slope=slope
+        estimate=0.5 * intercept, stderr=0.5 * intercept_err, table=table, slope=0.5 * slope
     )
 
 

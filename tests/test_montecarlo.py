@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from gauss_bubbles import (
+    AffinePartition,
     ConfigError,
     ContractViolationError,
     DegenerateCellError,
@@ -442,3 +443,113 @@ class TestNestedPools:
 
         mc_mean(tiled_cfg(False), values)
         assert threading.get_ident() not in seen
+
+
+# Cell 2 is empty: functional 2 never beats functional 0, whose direction it
+# shares at a lower offset.
+EMPTY_CELL = AffinePartition(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]),
+                             np.array([0.0, 0.0, -1.0]), np.zeros(2))
+GROUPED_PARTITIONS = {
+    "propeller3": propeller_partition(),
+    "perturbed-cones4": CONES4,
+    "empty-cell": EMPTY_CELL,
+}
+
+
+def grouped_cfg(part, antithetic):
+    return IntegrationConfig(sample_count=2 * TILED_CHUNK, seed=17, dimension=part.d,
+                             chunk_size=TILED_CHUNK, antithetic=antithetic)
+
+
+def dense_one_hot(labels, k):
+    """The per-row one-hot matrix the grouped reduction replaces; label k rows are 0."""
+    return (labels[:, None] == np.arange(k)[None, :]).astype(float)
+
+
+class TestGroupedReduction:
+    """The grouped reduction against the dense one-hot integrands it replaced,
+    evaluated through the per-row path, compared bit for bit."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(GROUPED_PARTITIONS))
+    def test_volumes_match_dense_one_hot(self, name, antithetic):
+        part = GROUPED_PARTITIONS[name]
+        cfg = grouped_cfg(part, antithetic)
+        got = mc_volumes(part, cfg)
+        want = mc_mean(cfg, lambda x: dense_one_hot(part.classify_points(x), part.m))
+        scale = 2.0 if antithetic else 1.0
+        counts = np.rint(want.mean * want.n_observations * scale).astype(np.int64)
+        assert np.array_equal(got.volumes, want.mean)
+        assert np.array_equal(got.stderr, want.stderr)
+        assert np.array_equal(got.counts, counts)
+        assert got.counts.sum() == cfg.sample_count
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(GROUPED_PARTITIONS))
+    def test_moments_match_dense_one_hot(self, name, antithetic):
+        part = GROUPED_PARTITIONS[name]
+        m, d = part.m, part.d
+        cfg = grouped_cfg(part, antithetic)
+
+        def dense(x):
+            hot = dense_one_hot(part.classify_points(x), m)
+            mom = (x[:, None, :] * hot[:, :, None]).reshape(x.shape[0], m * d)
+            return np.concatenate([hot, mom], axis=1)
+
+        got = mc_moments(part, None, cfg)
+        want = mc_mean(cfg, dense)
+        assert np.array_equal(got.volumes, want.mean[:m])
+        assert np.array_equal(got.volumes_stderr, want.stderr[:m])
+        assert np.array_equal(got.moments, want.mean[m:].reshape(m, d))
+        assert np.array_equal(got.moments_stderr, want.stderr[m:].reshape(m, d))
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_ungrouped_rows_are_dropped(self, columns, antithetic):
+        # Label 4 (= k) marks rows outside every group; they still count as
+        # observations but add nothing to any block.
+        k = 4
+        cfg = grouped_cfg(CONES4, antithetic)
+
+        def labels(x):
+            return np.where(x[:, 0] > 0.5, k, CONES4.classify_points(x))
+
+        def grouped(x):
+            return labels(x), x[:, :columns] ** 2 - x[:, -1:]
+
+        def dense(x):
+            hot = dense_one_hot(labels(x), k)
+            v = x[:, :columns] ** 2 - x[:, -1:]
+            spread = (hot[:, :, None] * v[:, None, :]).reshape(x.shape[0], k * columns)
+            return np.concatenate([spread, v * (labels(x) < k)[:, None]], axis=1)
+
+        got = mc_mean(cfg, grouped, groups=k)
+        want = mc_mean(cfg, dense)
+        assert got.mean.shape == ((k + 1) * columns,)
+        # The last block is the per-row sum over groups, values * 1{label < k}.
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.stderr, want.stderr)
+        dropped = mc_mean(cfg, lambda x: (np.full(x.shape[0], k), None), groups=k)
+        assert np.array_equal(dropped.mean, np.zeros(k + 1))
+
+    def test_labels_outside_the_group_range_raise(self):
+        cfg = grouped_cfg(CONES4, False)
+        with pytest.raises(ContractViolationError):
+            mc_mean(cfg, lambda x: (np.full(x.shape[0], 5), None), groups=4)
+        with pytest.raises(ContractViolationError):
+            mc_mean(cfg, lambda x: (np.full(x.shape[0], -1), None), groups=4)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_grouped_reports_are_identical_across_thread_counts(self, monkeypatch, antithetic):
+        cfg = IntegrationConfig(sample_count=8 * 6_000, seed=23, dimension=3,
+                                chunk_size=6_000, antithetic=antithetic)
+        reports = []
+        for threads in ("1", "2", "4"):
+            monkeypatch.setenv("GAUSS_BUBBLES_THREADS", threads)
+            vol = mc_volumes(CONES4, cfg)
+            mom = mc_moments(CONES4, np.array([0.1, -0.2, 0.05]), cfg)
+            reports.append(repr((vol.volumes.tobytes(), vol.stderr.tobytes(),
+                                 vol.counts.tobytes(), mom.moments.tobytes(),
+                                 mom.moments_stderr.tobytes(), mom.moment_functional,
+                                 mom.moment_functional_stderr, mom.penalty)))
+        assert reports[0] == reports[1] == reports[2]

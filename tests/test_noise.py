@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gauss_bubbles import (
+    AffinePartition,
     ConfigError,
     DomainError,
     IntegrationConfig,
@@ -12,6 +13,7 @@ from gauss_bubbles import (
     PreconditionError,
     calibrate_offsets_to_volumes,
     half_space_pair,
+    mc_moments,
     mc_volumes,
     noise_stability_certificate,
     noise_stability_partition,
@@ -19,6 +21,7 @@ from gauss_bubbles import (
     perimeter_from_noise_limit,
     perturb,
     propeller_partition,
+    simplicial_cone_partition,
 )
 from gauss_bubbles.montecarlo import PAIR_SUBSTREAM, mc_mean
 
@@ -191,3 +194,91 @@ class TestNoiseCertificate:
         with pytest.raises(PreconditionError):
             noise_stability_certificate(part, skewed, 0.9, 1e-3, None,
                                         cfg(2, samples=100_000))
+
+
+EMPTY_CELL = AffinePartition(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]),
+                             np.array([0.0, 0.0, -1.0]), np.zeros(2))
+PARTITIONS = {
+    "propeller3": propeller_partition(),
+    "perturbed-cones4": perturb(simplicial_cone_partition(4), 0.1, 11),
+    "empty-cell": EMPTY_CELL,
+}
+
+
+class TestGroupedStability:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(PARTITIONS))
+    def test_matches_dense_one_hot(self, name, antithetic):
+        # Reference: the per-cell joint membership and agreement columns the
+        # grouped reduction replaced, through the per-row path.
+        part = PARTITIONS[name]
+        m = part.m
+        config = IntegrationConfig(sample_count=60_000, seed=29, dimension=part.d,
+                                   chunk_size=20_000, antithetic=antithetic)
+
+        def dense(x, y):
+            cx, cy = part.classify_points(x), part.classify_points(y)
+            cells = np.arange(m)[None, :]
+            both = (cx[:, None] == cells) & (cy[:, None] == cells)
+            return np.concatenate([both.astype(float), (cx == cy).astype(float)[:, None]],
+                                  axis=1)
+
+        for rho in (0.9, -0.4):
+            got = noise_stability_partition(part, rho, config)
+            want = mc_mean(config, dense, substream=PAIR_SUBSTREAM, pair_rho=rho)
+            assert np.array_equal(got.per_cell, want.mean[:m])
+            assert np.array_equal(got.per_cell_stderr, want.stderr[:m])
+            assert got.total == want.mean[m]
+            assert got.total_stderr == want.stderr[m]
+
+
+def _count_mc_mean(monkeypatch):
+    """Count mc_mean calls at every module that binds it."""
+    from gauss_bubbles import montecarlo, noise
+
+    calls = []
+    original = montecarlo.mc_mean
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "mc_mean", counted)
+    monkeypatch.setattr(noise, "mc_mean", counted)
+    return calls
+
+
+class TestCertificatePasses:
+    def test_volumes_come_from_the_moment_reports(self, monkeypatch):
+        config = cfg(2, samples=500_000, seed=23)
+        reference = propeller_partition()
+        candidate = calibrate_offsets_to_volumes(
+            perturb(reference, 0.05, 2), (1 / 3, 1 / 3, 1 / 3), config)
+        w = np.array([0.05, -0.02])
+        rho, epsilon = 0.9, 1e-3
+        # The certificate as it was formed with separate mc_volumes passes.
+        mom_ref = mc_moments(reference, w, config)
+        mom_cand = mc_moments(candidate, w, config)
+        vol_gap = np.abs(mc_volumes(reference, config).volumes
+                         - mc_volumes(candidate, config).volumes)
+        assert np.array_equal(vol_gap, np.abs(mom_ref.volumes - mom_cand.volumes))
+        stab_ref = noise_stability_partition(reference, rho, config)
+        stab_cand = noise_stability_partition(candidate, rho, config)
+        rate = epsilon * math.sqrt(1.0 - rho * rho) * math.sqrt(math.pi / 2.0)
+        rhs_core = stab_ref.total - rate * (mom_ref.moment_functional
+                                            - mom_cand.moment_functional)
+        rhs_err = math.sqrt(stab_ref.total_stderr**2
+                            + (rate * mom_ref.moment_functional_stderr) ** 2
+                            + (rate * mom_cand.moment_functional_stderr) ** 2)
+
+        calls = _count_mc_mean(monkeypatch)
+        cert = noise_stability_certificate(reference, candidate, rho, epsilon, w, config)
+        assert len(calls) == 4
+        assert cert.lhs == stab_cand.total
+        assert cert.lhs_stderr == stab_cand.total_stderr
+        assert cert.rhs_core == rhs_core
+        assert cert.rhs_stderr == rhs_err
+        assert cert.margin == rhs_core - stab_cand.total
+        assert cert.margin_stderr == math.sqrt(rhs_err**2 + stab_cand.total_stderr**2)
+        assert cert.moment_reference == mom_ref.moment_functional
+        assert cert.moment_candidate == mom_cand.moment_functional

@@ -104,6 +104,21 @@ class TestOptimizePropeller:
         vols = mc_volumes(result.partition, report_cfg).volumes
         assert np.max(np.abs(vols - 0.5)) <= 5e-3
 
+    def test_trace_records_the_calibration_residual(self):
+        config = quick_config(m=3, d=2, target_volumes=(0.4, 0.35, 0.25), restarts=1,
+                              max_iters=30)
+        result = optimize_propeller(config)
+        residuals = np.array([row[2] for row in result.trace])
+        feasible = np.array([row[1] < 1e29 for row in result.trace])
+        assert feasible.any()
+        assert np.all(np.isnan(residuals[~feasible]))
+        # Calibration stops within tol on the search stream; re-centring the
+        # offsets may move a boundary sample or so.
+        tol = max(config.calibration_tol, 1.0 / math.sqrt(config.search_samples))
+        assert np.all(np.isfinite(residuals[feasible]))
+        assert np.all(residuals[feasible] <= tol + 1.0 / config.search_samples)
+        assert np.any(residuals[feasible] > 0.0)
+
 
 class TestMinimizePenalized:
     def test_recovers_threshold_split(self):

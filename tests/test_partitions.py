@@ -18,7 +18,6 @@ from gauss_bubbles import (
     RoundCylinder,
     align_rotation,
     calibrate_offsets_to_volumes,
-    classify,
     half_space_pair,
     mc_volumes,
     perturb,
@@ -68,7 +67,7 @@ class TestSimplicialCones:
 
     def test_tie_goes_to_lowest_index(self):
         part = propeller_partition()
-        assert classify(part, [0.0, 0.0]) == 0
+        assert part.classify([0.0, 0.0]) == 0
 
     def test_halfspaces_m2(self):
         part = simplicial_cone_partition(2)

@@ -234,33 +234,61 @@ class TestClosedFormFacetFraction:
         assert facets.total_stderr > 0.0 and tail.stderr > 0.0
 
 
-class _ExactDistanceRegion:
-    """A region whose distance ignores ``limit`` and is exact on every row."""
-
-    def __init__(self, region):
-        self.region = region
-
-    def contains(self, points):
-        return self.region.contains(points)
-
-    def distance(self, points, limit=math.inf):
-        return self.region.distance(points)
-
-
 class TestMinkowski:
     @pytest.mark.parametrize("antithetic", [False, True])
-    def test_pruned_collar_is_bit_identical_to_exact_distances(self, antithetic):
+    def test_pruned_collar_is_bit_identical_to_exact_distances(self, antithetic, monkeypatch):
         part = perturb(simplicial_cone_partition(4), 0.1, 3)
         config = cfg(3, samples=200_000, antithetic=antithetic)
         schedule = [0.1, 0.05, 0.025]
-        for index in range(part.m):
-            cell = PartitionCell(part, index)
-            got = minkowski_perimeter(cell, schedule, config)
-            want = minkowski_perimeter(_ExactDistanceRegion(cell), schedule, config)
-            assert got.estimate == want.estimate
-            assert got.stderr == want.stderr
-            assert got.slope == want.slope
-            assert got.table == want.table
+        got = minkowski_partition_perimeter(part, schedule, config)
+        pruned = PartitionCell.distance
+        # Every cell distance exact on every row, whatever limit is passed.
+        monkeypatch.setattr(PartitionCell, "distance",
+                            lambda self, points, limit=math.inf: pruned(self, points))
+        want = minkowski_partition_perimeter(part, schedule, config)
+        assert got.estimate == want.estimate
+        assert got.stderr == want.stderr
+        assert got.slope == want.slope
+        assert got.table == want.table
+
+    def test_partition_collar_is_one_pass_over_one_stream(self, monkeypatch):
+        from gauss_bubbles import perimeter
+
+        calls = []
+        original = perimeter.mc_mean
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].sample_count)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(perimeter, "mc_mean", counted)
+        report = minkowski_partition_perimeter(
+            simplicial_cone_partition(4), [0.1, 0.05, 0.025], cfg(3, samples=100_000))
+        assert calls == [100_000]
+        assert [row[:2] for row in report.table] == [
+            (i, e) for i in range(4) for e in (0.1, 0.05, 0.025)]
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_partition_stderr_matches_seed_to_seed_spread(self, antithetic):
+        # The total is fitted from the per-row sum of the cell collars, so its
+        # stderr must carry the correlation between cells on the shared
+        # stream: the spread over seeds has to fit the reported error.
+        from scipy.stats import chi2
+
+        seeds = range(1, 41)
+        estimates, stderrs = [], []
+        for seed in seeds:
+            config = IntegrationConfig(sample_count=20_000, seed=seed, dimension=2,
+                                       chunk_size=10_000, antithetic=antithetic)
+            report = minkowski_partition_perimeter(
+                propeller_partition(), [0.08, 0.04, 0.02], config)
+            estimates.append(report.estimate)
+            stderrs.append(report.stderr)
+        dof = len(seeds) - 1
+        ratio = np.std(estimates, ddof=1) / np.median(stderrs)
+        low = math.sqrt(chi2.ppf(0.005, dof) / dof)
+        high = math.sqrt(chi2.ppf(0.995, dof) / dof)
+        assert low <= ratio <= high, (ratio, low, high)
 
     def test_halfspace_collar_matches_facet(self):
         cell = PartitionCell(half_space_pair(2, 0.0), 0)
