@@ -1,7 +1,8 @@
 """Gaussian multi-bubble functionals over explicit partition families.
 
 Core surfaces: Monte Carlo volumes/moments against the standard Gaussian
-measure (``montecarlo``), partition construction and calibration
+measure (``montecarlo``), exact volumes/moments of affine partitions with
+at most four cells (``exact``), partition construction and calibration
 (``partitions``), Gaussian perimeter by facet and collar estimators
 (``perimeter``), noise stability and its small-noise limit (``noise``),
 simplex-valued functions on product alphabets (``discrete``), and

@@ -6,9 +6,11 @@ i|^2, or minimize the penalized perimeter P + eps * sqrt(pi/2) * M. The
 search runs Nelder-Mead over the direction vectors (renormalized at every
 evaluation); volume constraints are enforced by calibrating the offsets
 inside each objective evaluation, so every evaluated point is feasible and
-objectives are comparable. All Monte Carlo evaluations inside one search
-reuse a single seed (common random numbers): re-evaluating an iterate is
-bit-identical, and the search signal is not Monte Carlo noise.
+objectives are comparable; for m <= 4 that calibration is exact. All Monte
+Carlo evaluations inside one search reuse a single seed (common random
+numbers): re-evaluating an iterate is bit-identical, and the search signal
+is not Monte Carlo noise. The stability certificate is exact and
+deterministic for m <= 4.
 """
 from __future__ import annotations
 
@@ -24,10 +26,12 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
+from . import exact
 from .montecarlo import IntegrationConfig, map_chunks, mc_moments
 from .partitions import (
     AffinePartition,
     align_rotation,
+    calibrate_exact,
     calibrate_offsets_to_volumes,
     simplicial_cone_partition,
 )
@@ -118,10 +122,15 @@ class _Objective:
         self.trace = []
         self.warm_offsets = np.zeros(cfg.m)
         self.evaluations = 0
-        # Monte Carlo volumes cannot be matched below their own noise floor.
+        # Monte Carlo volumes (m >= 5) cannot be matched below their own
+        # noise floor; exact calibration (m <= 4) goes to 1e-12 regardless.
         self.tol = max(cfg.calibration_tol, 1.0 / math.sqrt(mc.sample_count))
 
-    def partition_for(self, params: np.ndarray) -> AffinePartition | None:
+    def partition_for(self, params: np.ndarray) -> tuple[AffinePartition, float | None] | None:
+        """(calibrated partition, its exact calibration residual), or None
+        when infeasible. The residual is None for m >= 5, whose Monte Carlo
+        volumes ``value`` reads from its own moment report.
+        """
         directions = params.reshape(self.cfg.m, self.cfg.d).copy()
         norms = np.linalg.norm(directions, axis=1)
         if np.any(norms < 1e-8):
@@ -134,19 +143,29 @@ class _Objective:
             return None
         try:
             raw = AffinePartition(directions, self.warm_offsets, np.zeros(self.cfg.d))
-            calibrated = calibrate_offsets_to_volumes(
-                raw, self.cfg.targets, self.mc, tol=self.tol, max_iters=25
-            )
+            if exact.supports(raw):
+                calibrated, residual = calibrate_exact(
+                    raw, self.cfg.targets, tol=self.tol, max_iters=25
+                )
+            else:
+                calibrated = calibrate_offsets_to_volumes(
+                    raw, self.cfg.targets, self.mc, tol=self.tol, max_iters=25
+                )
+                residual = None
         except (CalibrationError, ContractViolationError):
             return None
         self.warm_offsets = calibrated.offsets.copy()
-        return calibrated
+        return calibrated, residual
 
-    def value(self, partition: AffinePartition) -> tuple[float, float]:
-        """(objective, calibration residual max |volume - target|), both read
-        from one moment report on the search stream."""
+    def value(self, partition: AffinePartition, residual: float | None) -> tuple[float, float]:
+        """(objective, calibration residual max |volume - target|).
+
+        The objective is read from a moment report on the search stream. A
+        residual of None (m >= 5) is measured on that report's volumes.
+        """
         report = mc_moments(partition, self.w, self.mc)
-        residual = float(np.max(np.abs(report.volumes - self.cfg.targets)))
+        if residual is None:
+            residual = float(np.max(np.abs(report.volumes - self.cfg.targets)))
         if self.kind == "moment":
             return -report.moment_functional, residual
         perim = facet_perimeter(partition, self.mc).total
@@ -154,11 +173,11 @@ class _Objective:
 
     def __call__(self, params: np.ndarray) -> float:
         self.evaluations += 1
-        partition = self.partition_for(params)
-        if partition is None:
+        calibrated = self.partition_for(params)
+        if calibrated is None:
             self.trace.append((self.evaluations, _INFEASIBLE, math.nan))
             return _INFEASIBLE
-        val, residual = self.value(partition)
+        val, residual = self.value(*calibrated)
         self.trace.append((self.evaluations, val, residual))
         return val
 
@@ -223,9 +242,10 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
         },
     )
     final_params = res.x if res.fun <= min(best_fun + 1e-3, _INFEASIBLE) else best_x
-    partition = polish.partition_for(final_params)
-    if partition is None:
+    calibrated = polish.partition_for(final_params)
+    if calibrated is None:
         raise CalibrationError("final iterate failed calibration", partition=None)
+    partition = calibrated[0]
 
     if kind == "moment":
         value, err = moment_objective(partition, w_vec, final_mc)
@@ -315,24 +335,37 @@ def stability_margin(
 ) -> StabilityCertificate:
     """Fill a stability certificate for candidate against reference.
 
-    Preconditions: matching m and d, and Monte Carlo volumes equal within
-    ``vol_tol`` (calibrate the candidate first).
+    Preconditions: matching m and d, and cell volumes equal within
+    ``vol_tol`` (calibrate the candidate first). For m <= 4 the volumes, the
+    moment functionals (``exact.moments``) and the perimeters are exact, so
+    the certificate is deterministic: ``cfg`` is not sampled, the margin's
+    error is the quadrature of the evaluators' error bounds (0 for these),
+    and the verdict is the sign of the margin. For m >= 5 volumes and
+    moments are Monte Carlo estimates on ``cfg``'s stream.
     """
     if reference.m != candidate.m or reference.d != candidate.d:
         raise PreconditionError("reference and candidate must share m and d")
     if eps < 0:
         raise DomainError("eps must be nonnegative")
 
-    mom_ref = mc_moments(reference, w, cfg)
-    mom_cand = mc_moments(candidate, w, cfg)
+    exact_path = exact.supports(reference)
+    if exact_path:
+        # The facet masses behind P also give the exact moment vectors.
+        per_ref = facet_perimeter(reference, cfg)
+        per_cand = facet_perimeter(candidate, cfg)
+        mom_ref = exact.moments(reference, w, per_ref)
+        mom_cand = exact.moments(candidate, w, per_cand)
+    else:
+        mom_ref = mc_moments(reference, w, cfg)
+        mom_cand = mc_moments(candidate, w, cfg)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
     if gap > vol_tol:
         raise PreconditionError(
             f"cell volumes differ by {gap:.4f} > vol_tol={vol_tol}; calibrate first"
         )
-
-    per_ref = facet_perimeter(reference, cfg)
-    per_cand = facet_perimeter(candidate, cfg)
+    if not exact_path:
+        per_ref = facet_perimeter(reference, cfg)
+        per_cand = facet_perimeter(candidate, cfg)
 
     factor = eps * _PENALTY_FACTOR
     margin = (per_cand.total + factor * mom_cand.moment_functional) - (

@@ -5,6 +5,10 @@ An affine partition assigns a point x to the cell whose affine functional
 <x, z_i> + c_i is largest, ties broken to the lowest index. Simplicial-cone
 partitions use the vertices of a regular simplex as directions; the shift w
 enters through the offsets c_i = -<w, z_i>, which re-apexes the cones at w.
+
+Volume calibration solves for the offsets that give prescribed cell
+volumes: by Newton steps on exact volumes (``exact``) when m <= 4, and on
+Monte Carlo volumes of one fixed sample stream when m >= 5.
 """
 from __future__ import annotations
 
@@ -21,12 +25,23 @@ from .errors import (
     ContractViolationError,
     DomainError,
 )
+from . import exact
 from .montecarlo import ALIGN_SUBSTREAM, IntegrationConfig, mc_mean, mc_volumes
 
 # Most active-set projectors one PartitionCell may enumerate. 1023 admits
 # simplicial cones up to m=11; each further cell doubles the count, the
 # build and the collar's projection work.
 _MAX_PROJECTORS = 1023
+
+# Exact calibration always iterates to at least this residual: at equal
+# volumes a volume error moves the perimeter only at second order, but a
+# certificate's margin is that small too, so a loose stop biases it.
+_EXACT_RESIDUAL = 1e-12
+# Exact calibration: cells below this volume take the log step, since their
+# facet masses give no usable Newton slope; a step is halved at most this
+# many times while it fails to reduce the residual.
+_NEWTON_FLOOR = 1e-6
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +149,9 @@ class AffinePartition:
 
         Rows with z_i == z_j are dropped when always satisfied; an
         unsatisfiable parallel row makes the cell empty, reported via an
-        infeasible marker row of zeros with b = +inf.
+        infeasible marker row of zeros with b = +inf. An identical functional
+        (c_i == c_j) is unsatisfiable for the higher index, which loses every
+        argmax tie.
         """
         z = self.directions
         c = self.offsets
@@ -145,7 +162,7 @@ class AffinePartition:
             a = z[cell] - z[j]
             b = c[j] - c[cell]
             if np.all(a == 0.0):
-                if b > 0.0:
+                if b > 0.0 or (b == 0.0 and j < cell):
                     return np.zeros((1, self.d)), np.array([np.inf])
                 continue
             rows.append(a)
@@ -255,20 +272,103 @@ def calibrate_offsets_to_volumes(
     max_iters: int = 40,
     damping: float = 0.5,
 ) -> AffinePartition:
-    """Adjust offsets until Monte Carlo volumes match the targets within tol.
+    """Adjust offsets until the cell volumes match the targets within tol.
 
-    Runs a damped multiplicative fixed point c_i += damping * log(a_i/a_hat_i)
-    and switches to coordinate Newton steps (slopes from the facet masses)
-    once the residual is small. Offsets are normalized to sum to zero. The
-    same config (hence the same sample stream) is used for every iterate, so
-    the iteration is deterministic.
+    For m <= 4 the volumes are exact (``exact.cell_volumes``) and the offsets
+    take Newton steps with the facet-mass Jacobian until the residual is at
+    most min(tol, 1e-12); ``cfg`` is not sampled. For m >= 5 the volumes are
+    Monte Carlo estimates on ``cfg``'s stream: a damped multiplicative fixed
+    point c_i += damping * log(a_i/a_hat_i) switches to coordinate Newton
+    steps (slopes from the facet masses) once the residual is small, and
+    stops at tol. The same config (hence the same sample stream) is used for
+    every iterate, so the iteration is deterministic. ``damping`` scales the
+    log steps. Offsets are normalized to sum to zero. A failure raises
+    ``CalibrationError`` with the last iterate and its residual.
     """
+    if exact.supports(partition):
+        return calibrate_exact(partition, targets, tol, max_iters, damping)[0]
+    a = _check_targets(partition, targets)
+    return _calibrate_mc(partition, a, cfg, tol, max_iters, damping)
+
+
+def _check_targets(partition: AffinePartition, targets) -> np.ndarray:
     a = np.asarray(targets, dtype=float).reshape(-1)
     if a.size != partition.m:
         raise ContractViolationError("target volume count must match the cell count")
     if np.any(a <= 0.0) or abs(a.sum() - 1.0) > 1e-9:
         raise DomainError("target volumes must be positive and sum to 1")
+    return a
 
+
+def calibrate_exact(
+    partition: AffinePartition,
+    targets,
+    tol: float = 1e-3,
+    max_iters: int = 40,
+    damping: float = 0.5,
+) -> tuple[AffinePartition, float]:
+    """(calibrated partition, max |volume - target|) by damped Newton on
+    exact volumes, m <= 4; the residual is at most min(tol, 1e-12).
+
+    The volume map is the gradient of the convex function
+    E[max_i <X, z_i> + c_i], so its Jacobian is symmetric with the constant
+    vector in its null space: dV_i/dc_i = sum_j s_ij and dV_i/dc_j = -s_ij,
+    s_ij = mass_ij / |z_i - z_j|. The step is its least-squares solution; a
+    cell below ``_NEWTON_FLOOR`` has next to no facet mass and takes the log
+    step instead. Steps are capped per offset and halved until the residual
+    norm falls. Exact volumes sum to 1, so the targets are rescaled to sum
+    to 1 as well. A failure raises ``CalibrationError`` with the last
+    iterate and its residual.
+    """
+    tol = min(tol, _EXACT_RESIDUAL)
+    a = _check_targets(partition, targets)
+    a = a / a.sum()
+    current = _centred(partition, partition.offsets)
+    est = exact.cell_volumes(current)[0]
+    residual = float(np.max(np.abs(est - a)))
+    for _ in range(max_iters):
+        if residual <= tol:
+            break
+        slopes = np.zeros((partition.m, partition.m))
+        for (i, j), mass in exact.facet_masses(current).items():
+            s = mass / np.linalg.norm(current.directions[i] - current.directions[j])
+            slopes[i, j] = slopes[j, i] = -s
+        slopes[np.diag_indices(partition.m)] = -slopes.sum(axis=1)
+        newton = np.linalg.lstsq(slopes, a - est, rcond=None)[0]
+        log_step = damping * np.log(a / np.maximum(est, np.finfo(float).tiny))
+        step = np.clip(np.where(est < _NEWTON_FLOOR, log_step, newton), -1.0, 1.0)
+        norm = np.linalg.norm(est - a)
+        for _ in range(_MAX_HALVINGS):
+            trial = _centred(current, current.offsets + step)
+            trial_est = exact.cell_volumes(trial)[0]
+            if np.linalg.norm(trial_est - a) < norm:
+                break
+            step = 0.5 * step
+        current, est = trial, trial_est
+        residual = float(np.max(np.abs(est - a)))
+    if residual > tol:
+        raise CalibrationError(
+            f"volume calibration did not reach tol={tol} in {max_iters} iterations "
+            f"(residual {residual:.3e})",
+            partition=current,
+            residual=residual,
+        )
+    return current, residual
+
+
+def _centred(partition: AffinePartition, offsets: np.ndarray) -> AffinePartition:
+    return partition.with_offsets(offsets - offsets.mean())
+
+
+def _calibrate_mc(
+    partition: AffinePartition,
+    a: np.ndarray,
+    cfg: IntegrationConfig,
+    tol: float,
+    max_iters: int,
+    damping: float,
+) -> AffinePartition:
+    """Damped log fixed point, then diagonal Newton, on Monte Carlo volumes."""
     floor = 1.0 / (2.0 * cfg.sample_count)
     current = partition
     residual = np.inf

@@ -7,8 +7,10 @@ measure, within the hyperplane, of the set where i and j are the joint
 argmax. The in-plane measure is evaluated in closed form whenever at most
 two other cells constrain a facet (every facet when m <= 4, in any d): it
 is then 1, a normal CDF, or a bivariate normal CDF through Owen's T
-function. In d=2 the region is an interval of a 1-D Gaussian for any m.
-Beyond that the in-plane measure is sampled by Monte Carlo. The second
+function (``exact.bivariate_normal_cdf``). In d=2 the region is an interval
+of a 1-D Gaussian for any m. Beyond that the in-plane measure is sampled by
+Monte Carlo. For m <= 4 these exact facet masses also give the exact moment
+vectors of ``exact.moments``, through the divergence identity. The second
 estimator uses the outer epsilon-collar definition of surface area and
 extrapolates the collar mass to epsilon -> 0; for affine cells and round
 cylinders the collar test uses exact distances. Round cylinders also get
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.special import ndtr, owens_t
+from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -37,6 +39,7 @@ from .montecarlo import (
     gaussian_density,
     mc_mean,
 )
+from .exact import bivariate_normal_cdf as _bivariate_normal_cdf
 from .partitions import AffinePartition, RoundCylinder
 from .special import chi_square_cdf, sphere_surface_measure
 
@@ -224,34 +227,6 @@ def _planar_facet_fraction(
         r = float(np.clip(u[0] @ u[1], -1.0, 1.0))
         return _bivariate_normal_cdf(float(t[0]), float(t[1]), r)
     return None
-
-
-def _bivariate_normal_cdf(h: float, k: float, r: float) -> float:
-    """P(X <= h, Y <= k) for standard normals X, Y with correlation r.
-
-    Owen's formula through his T function (D. B. Owen, "Tables for
-    computing bivariate normal probabilities", Ann. Math. Stat. 27, 1956).
-    """
-    if r == 1.0:
-        return float(ndtr(min(h, k)))
-    if r == -1.0:
-        return max(float(ndtr(h) + ndtr(k)) - 1.0, 0.0)
-    s = math.sqrt(1.0 - r * r)
-    if h == 0.0 and k == 0.0:
-        return 0.25 + math.asin(r) / (2.0 * math.pi)
-    if h == 0.0:
-        value = 0.5 * ndtr(k) - owens_t(k, -r / s)
-    elif k == 0.0:
-        value = 0.5 * ndtr(h) - owens_t(h, -r / s)
-    else:
-        value = (
-            0.5 * ndtr(h)
-            + 0.5 * ndtr(k)
-            - owens_t(h, (k - r * h) / (h * s))
-            - owens_t(k, (h - r * k) / (k * s))
-            - (0.5 if h * k < 0.0 else 0.0)
-        )
-    return min(max(float(value), 0.0), 1.0)
 
 
 def _joint_argmax_mask(partition, facet, points) -> np.ndarray:

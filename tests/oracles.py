@@ -119,3 +119,42 @@ def convex_cell_distance(a: np.ndarray, b: np.ndarray, point: np.ndarray) -> flo
         options={"maxiter": 200, "ftol": 1e-12},
     )
     return float(np.linalg.norm(res.x - point))
+
+
+def planar_polygon_probability(limits, directions) -> float:
+    """Standard Gaussian measure of {x in R^2 : <u_k, x> <= h_k for every k}.
+
+    Rotates the plane so that no constraint line is near vertical, then
+    integrates the normal CDF of the x_2 interval over x_1 by quadrature,
+    split at every vertex.
+    """
+    u = np.asarray(directions, dtype=float)
+    h = np.asarray(limits, dtype=float)
+    angles = np.linspace(0.0, math.pi, 361)
+    turn = max(angles, key=lambda t: min(abs(math.cos(t) * b - math.sin(t) * a) for a, b in u))
+    u = u @ np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+
+    def cdf(y: float) -> float:
+        return 0.5 * math.erfc(-y / math.sqrt(2.0))
+
+    def strip(x1: float) -> float:
+        lo, hi = -math.inf, math.inf
+        for (a, b), c in zip(u, h):
+            if b > 0.0:
+                hi = min(hi, (c - a * x1) / b)
+            else:
+                lo = max(lo, (c - a * x1) / b)
+        return gaussian_density_1d(x1) * max(cdf(hi) - cdf(lo), 0.0)
+
+    edges = [-12.0, 12.0]
+    for k, l in itertools.combinations(range(len(h)), 2):
+        pair = u[[k, l]]
+        if abs(np.linalg.det(pair)) > 1e-12:
+            x1 = float(np.linalg.solve(pair, h[[k, l]])[0])
+            if -12.0 < x1 < 12.0:
+                edges.append(x1)
+    edges.sort()
+    return sum(
+        quad(strip, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )

@@ -200,6 +200,43 @@ class TestSpecFiles:
             assert len(rows) == 1 + facets, token
 
 
+
+# Certificates that read a false "fail" when calibration ran on Monte Carlo
+# volumes: the case in ROADMAP.md and certify benchmark op 522 at seed 4242.
+KNOWN_CERTIFY_OPS = [
+    ["--perturb", "0.167196", "--perturb-seed", "638256888", "--seed", "570726918"],
+    ["--perturb", "0.094535", "--perturb-seed", "326561175", "--seed", "868497812"],
+]
+
+
+class TestStabilityCheck:
+    @pytest.mark.parametrize("op", KNOWN_CERTIFY_OPS)
+    def test_known_ops_pass_deterministically(self, tmp_path, op):
+        proc = run_cli(["stability-check", "--m", "3", "--epsilon", "1e-3", "--samples", "6e5",
+                        "--chunk", "75000", "--antithetic", *op, "--out-dir", str(tmp_path)],
+                       tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "stability-check_summary.json").read_text())
+        assert summary["results"]["verdict"] == "pass"
+        assert summary["results"]["margin"] > 0.0
+        assert summary["stderr"]["margin"] == 0.0
+
+    def test_four_cells_identical_across_thread_counts(self, tmp_path):
+        contents = {}
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}"
+            proc = run_cli(["stability-check", "--m", "4", "--perturb", "0.1",
+                            "--perturb-seed", "12", "--samples", "1e5", "--seed", "3",
+                            "--out-dir", str(out)],
+                           tmp_path, env_extra={"GAUSS_BUBBLES_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            contents[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert contents["1"] == contents["2"] == contents["4"]
+        summary = json.loads(contents["1"]["stability-check_summary.json"])
+        assert summary["results"]["verdict"] == "pass"
+        assert summary["stderr"]["margin"] == 0.0
+
+
 def write_corpus_case(path: Path, name: str, spec: dict, expect: list):
     path.write_text(json.dumps({"name": name, "spec": spec, "expect": expect}))
 

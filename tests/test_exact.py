@@ -1,0 +1,291 @@
+import math
+import random
+
+import numpy as np
+import pytest
+
+from gauss_bubbles import (
+    AffinePartition,
+    ContractViolationError,
+    DegenerateCellError,
+    IntegrationConfig,
+    UnsupportedGeometryError,
+    calibrate_offsets_to_volumes,
+    facet_perimeter,
+    mc_moments,
+    perturb,
+    propeller_partition,
+    simplicial_cone_partition,
+    stability_margin,
+)
+from gauss_bubbles import optimize
+from gauss_bubbles.exact import (
+    bivariate_normal_cdf,
+    cell_volumes,
+    moments,
+    orthant_probability,
+    trivariate_normal_cdf,
+)
+from gauss_bubbles.partitions import calibrate_exact
+
+import oracles
+
+PROPELLER_MOMENT = 9.0 / (8.0 * math.pi)
+CONES4_MOMENT = (12.0 / math.pi) * (0.25 + math.asin(1.0 / 3.0) / (2.0 * math.pi)) ** 2
+
+
+def mc(d, seed=3):
+    return IntegrationConfig(sample_count=2_000_000, seed=seed, dimension=d, chunk_size=250_000)
+
+
+def random_correlation(rng):
+    u = rng.standard_normal((3, 3))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return u @ u.T
+
+
+def shifted_cones(m, seed, magnitude=0.15):
+    rng = np.random.default_rng(seed)
+    apex = rng.normal(0.0, 0.3, size=m - 1)
+    return perturb(simplicial_cone_partition(m, apex), magnitude, seed)
+
+
+def assert_matches_mc(part, seed=3):
+    """Exact volumes and moment vectors within 4 sigma of Monte Carlo."""
+    got = moments(part)
+    want = mc_moments(part, None, mc(part.d, seed))
+    assert np.all(np.abs(got.volumes - want.volumes) <= 4.0 * want.volumes_stderr + 1e-15)
+    assert np.all(np.abs(got.moments - want.moments) <= 4.0 * want.moments_stderr + 1e-15)
+    return got
+
+
+def check_coplanar(seed, cases, mix, spread):
+    """Phi_3 for u_2 = a u_0 + b u_1 (unit-normalised), (a, b) = mix(i),
+    against the measure of the polygon the three constraints cut out of
+    their plane."""
+    rng = np.random.default_rng(seed)
+    for i in range(cases):
+        u = rng.standard_normal((3, 3))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        a, b = mix(i)
+        u[2] = a * u[0] + b * u[1]
+        u[2] /= np.linalg.norm(u[2])
+        basis, _ = np.linalg.qr(u[:2].T)
+        h = rng.normal(0.0, spread, 3)
+        want = oracles.planar_polygon_probability(h, u @ basis)
+        assert orthant_probability(h, u)[0] == pytest.approx(want, rel=0.0, abs=1e-14)
+
+
+class TestClosedForms:
+    def test_propeller(self):
+        volumes, errors = cell_volumes(propeller_partition())
+        assert volumes == pytest.approx([1 / 3] * 3, rel=1e-12)
+        assert np.all(errors == 0.0)
+        report = moments(propeller_partition())
+        assert report.moment_functional == pytest.approx(PROPELLER_MOMENT, rel=1e-12)
+        assert report.moment_functional_stderr == 0.0
+
+    def test_cones4(self):
+        volumes, errors = cell_volumes(simplicial_cone_partition(4))
+        assert volumes == pytest.approx([0.25] * 4, rel=1e-12)
+        assert np.all(errors < 1e-13)
+        report = moments(simplicial_cone_partition(4))
+        assert report.moment_functional == pytest.approx(CONES4_MOMENT, rel=1e-12)
+        assert CONES4_MOMENT == pytest.approx(0.3532045528490168, rel=1e-15)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trivariate_at_the_origin(self, seed):
+        corr = random_correlation(np.random.default_rng(seed))
+        want = 0.125 + (math.asin(corr[0, 1]) + math.asin(corr[0, 2])
+                        + math.asin(corr[1, 2])) / (4.0 * math.pi)
+        value, err = trivariate_normal_cdf([0.0, 0.0, 0.0], corr)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert err < 1e-13
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trivariate_agrees_across_conditioning(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        corr = random_correlation(rng)
+        h = rng.normal(0.0, 1.2, size=3)
+        values = [trivariate_normal_cdf(h, corr, first=a)[0] for a in range(3)]
+        assert max(values) - min(values) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(300, 306))
+    def test_trivariate_on_coplanar_constraints(self, seed):
+        # u_2 in the plane of u_0 and u_1 makes the correlation singular:
+        # the partial correlation is +-1 and the integrand has a kink.
+        check_coplanar(seed, cases=30, mix=lambda i: (1.0, 1.0), spread=1.0)
+
+    @pytest.mark.parametrize("seed", range(200, 203))
+    def test_trivariate_on_nearly_parallel_constraints(self, seed):
+        # u_2 within 1e-3 of u_0 or 1e-4 of -u_0: |r| near 1, and the
+        # quadrature must condition on another variable
+        mixes = [(1.0, 1.0), (1.0, 1e-3), (-1.0, 1e-4)]
+        check_coplanar(seed, cases=30, mix=lambda i: mixes[i % 3], spread=1.5)
+
+    def test_trivariate_refuses_a_perfectly_correlated_conditioning_row(self):
+        corr = np.array([[1.0, -1.0, 0.3], [-1.0, 1.0, -0.3], [0.3, -0.3, 1.0]])
+        with pytest.raises(ContractViolationError):
+            trivariate_normal_cdf([0.1, 0.2, 0.3], corr, first=0)
+        # X_2 = -X_1: P(-0.2 <= X_1 <= 0.1, X_3 <= 0.3), conditioned on X_3
+        value, _ = trivariate_normal_cdf([0.1, 0.2, 0.3], corr)
+        want = bivariate_normal_cdf(0.1, 0.3, 0.3) - bivariate_normal_cdf(-0.2, 0.3, 0.3)
+        assert value == pytest.approx(want, rel=1e-12)
+
+
+class TestAgainstMonteCarlo:
+    @pytest.mark.parametrize("m,seed", [(3, 0), (3, 1), (4, 0), (4, 1)])
+    def test_perturbed_partitions(self, m, seed):
+        report = assert_matches_mc(shifted_cones(m, seed), seed)
+        assert abs(report.volumes.sum() - 1.0) <= 1e-13
+
+    def test_three_cells_in_three_dimensions(self):
+        directions = np.random.default_rng(4).standard_normal((3, 3))
+        part = AffinePartition(directions, np.array([0.3, -0.2, 0.1]), np.zeros(3))
+        assert_matches_mc(part)
+
+    @pytest.mark.parametrize("m,d", [(2, 1), (3, 2), (3, 4), (4, 3), (4, 5)])
+    def test_volumes_sum_to_one(self, m, d):
+        rng = np.random.default_rng(10 * m + d)
+        for _ in range(5):
+            part = AffinePartition(rng.standard_normal((m, d)), rng.normal(0.0, 0.7, m),
+                                   np.zeros(d))
+            assert abs(cell_volumes(part)[0].sum() - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_moments_reuse_a_facet_report(self, m):
+        part = shifted_cones(m, 11)
+        w = np.full(part.d, 0.05)
+        unused = IntegrationConfig(sample_count=1, seed=0, dimension=part.d, chunk_size=1)
+        shared = moments(part, w, facet_perimeter(part, unused))
+        fresh = moments(part, w)
+        assert np.array_equal(shared.moments, fresh.moments)
+        assert shared.moment_functional == fresh.moment_functional
+
+    def test_rotation_invariance(self):
+        part = shifted_cones(4, 7)
+        rot, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))
+        base = moments(part)
+        turned = moments(part.rotated(rot))
+        assert turned.volumes == pytest.approx(base.volumes, rel=1e-12, abs=1e-15)
+        assert turned.moments == pytest.approx(base.moments @ rot.T, rel=1e-10, abs=1e-14)
+        assert turned.moment_functional == pytest.approx(base.moment_functional, rel=1e-12)
+
+
+class TestDegenerateInputs:
+    def test_parallel_directions(self):
+        # z_0 = z_3: the constant row empties cell 3 (c_3 < c_0) and holds for cell 0
+        directions = np.array([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8], [1.0, 0.0]])
+        part = AffinePartition(directions, np.array([0.1, 0.0, -0.1, -0.2]), np.zeros(2))
+        volumes = assert_matches_mc(part).volumes
+        assert volumes[3] == 0.0
+        assert abs(volumes.sum() - 1.0) <= 1e-13
+
+    def test_identical_functionals_go_to_the_lower_index(self):
+        directions = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+        part = AffinePartition(directions, np.array([0.2, 0.0, 0.2]), np.zeros(2))
+        volumes = cell_volumes(part)[0]
+        assert volumes[2] == 0.0
+        assert volumes[0] == pytest.approx(1.0 - volumes[1], rel=1e-15)
+
+    def test_coincident_and_antipodal_constraints(self):
+        # every direction lies on the x_1 axis: cell 0 sees u_1 = u_2 = e_1,
+        # with the looser limit first, and u_3 = -e_1
+        directions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]])
+        part = AffinePartition(directions, np.array([0.0, -0.9, -0.4, -1.2]), np.zeros(2))
+        volumes = assert_matches_mc(part).volumes
+        # cell 0 is the interval -1.2 <= x_1 <= min(0.9, 0.2)
+        phi = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))  # noqa: E731
+        assert volumes[0] == pytest.approx(phi(0.2) - phi(-1.2), rel=1e-13)
+        assert abs(volumes.sum() - 1.0) <= 1e-13
+
+    def test_merge_keeps_the_smallest_limit(self):
+        u = np.array([[0.6, 0.8], [0.6, 0.8], [-0.8, 0.6]])
+        looser_first, _ = orthant_probability([1.0, -0.3, 0.5], u)
+        merged, _ = orthant_probability([-0.3, 0.5], u[1:])
+        assert looser_first == merged
+
+    def test_four_cells_in_the_plane(self):
+        angles = np.array([0.1, 1.9, 3.3, 4.6])
+        directions = np.column_stack([np.cos(angles), np.sin(angles)])
+        part = AffinePartition(directions, np.array([0.2, -0.1, 0.3, -0.4]), np.zeros(2))
+        volumes = assert_matches_mc(part).volumes
+        assert abs(volumes.sum() - 1.0) <= 1e-13
+
+    def test_empty_cell(self):
+        # cell 2 needs -1 >= |x_1|: two antipodal constraints that cannot both hold
+        directions = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+        part = AffinePartition(directions, np.array([0.0, 0.0, -1.0]), np.zeros(2))
+        report = assert_matches_mc(part)
+        assert report.volumes[2] == 0.0
+        assert np.all(report.moments[2] == 0.0)
+        with pytest.raises(DegenerateCellError):
+            moments(part, np.array([0.1, 0.0]))
+
+    def test_five_cells_are_refused(self):
+        with pytest.raises(UnsupportedGeometryError):
+            cell_volumes(simplicial_cone_partition(5))
+
+
+def benchmark_candidates(m, count, seed):
+    """Perturbed cones as the certify benchmark draws them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        magnitude = rng.uniform(0.02, 0.2)
+        yield perturb(simplicial_cone_partition(m), magnitude, rng.randrange(1, 2**31))
+
+
+class TestExactCalibration:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_benchmark_candidates_reach_1e_12(self, m):
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=m - 1, chunk_size=1)
+        targets = np.full(m, 1.0 / m)
+        for candidate in benchmark_candidates(m, 50, seed=m):
+            calibrated = calibrate_offsets_to_volumes(candidate, targets, config)
+            assert np.max(np.abs(cell_volumes(calibrated)[0] - targets)) <= 1e-12
+            assert abs(calibrated.offsets.sum()) <= 1e-12
+            assert np.array_equal(calibrated.directions, candidate.directions)
+
+    def test_loose_tol_still_stops_at_1e_12(self):
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=2, chunk_size=1)
+        candidate = perturb(propeller_partition(), 0.094535, 326561175)
+        calibrated = calibrate_offsets_to_volumes(candidate, (1 / 3,) * 3, config, tol=0.1)
+        assert np.max(np.abs(cell_volumes(calibrated)[0] - 1 / 3)) <= 1e-12
+
+    def test_skewed_targets_from_a_vanishing_cell(self):
+        # cell 2 starts below the Newton floor and must take log steps
+        directions = np.array([[1.0, 0.0], [-0.5, 0.8], [0.9, -0.4]])
+        start = AffinePartition(directions, np.array([0.0, 0.0, -4.0]), np.zeros(2))
+        assert cell_volumes(start)[0][2] < 1e-6
+        targets = np.array([0.5, 0.3, 0.2])
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=2, chunk_size=1)
+        calibrated = calibrate_offsets_to_volumes(start, targets, config)
+        assert np.max(np.abs(cell_volumes(calibrated)[0] - targets)) <= 1e-12
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_reports_the_residual_it_reached(self, m):
+        targets = np.full(m, 1.0 / m)
+        candidate = next(benchmark_candidates(m, 1, seed=20 + m))
+        calibrated, residual = calibrate_exact(candidate, targets)
+        assert residual == np.max(np.abs(cell_volumes(calibrated)[0] - targets))
+        assert residual <= 1e-12
+
+
+class TestExactCertificate:
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_one_facet_report_per_partition(self, m, monkeypatch):
+        calls = []
+
+        def counting(partition, cfg):
+            calls.append(partition)
+            return facet_perimeter(partition, cfg)
+
+        monkeypatch.setattr(optimize, "facet_perimeter", counting)
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=m - 1, chunk_size=1)
+        reference = simplicial_cone_partition(m)
+        candidate, _ = calibrate_exact(next(benchmark_candidates(m, 1, seed=30 + m)),
+                                       np.full(m, 1.0 / m))
+        cert = stability_margin(reference, candidate, 1e-3, None, config)
+        assert calls == [reference, candidate]
+        assert cert.m_candidate == moments(candidate).moment_functional
+        assert cert.margin_stderr == 0.0

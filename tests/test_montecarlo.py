@@ -553,3 +553,47 @@ class TestGroupedReduction:
                                  mom.moments_stderr.tobytes(), mom.moment_functional,
                                  mom.moment_functional_stderr, mom.penalty)))
         assert reports[0] == reports[1] == reports[2]
+
+
+def _columns(q):
+    """A row-wise integrand with q columns of mixed scale and sign, so that
+    the order in which a column is summed shows in its last bits."""
+    def values(x):
+        scale = np.exp(3.0 * x[:, :1])
+        return np.hstack([np.sin((k + 1) * x[:, :1] + x[:, 1:2]) * scale ** (k % 3)
+                          for k in range(q)])
+    return values
+
+
+def _sum_then_square_reduction(config, values):
+    """Column sums and sums of squares of every chunk, reduced as the per-row
+    path did with ``v.sum(axis=0)`` and folded in chunk order."""
+    from gauss_bubbles.montecarlo import _normal_chunk
+
+    total = total_sq = None
+    for chunk in range(config.n_chunks):
+        v = values(_normal_chunk(config, MAIN_SUBSTREAM, chunk, config.dimension))
+        if config.antithetic:
+            h = v.shape[0] // 2
+            v[:h] += v[h:]
+            v = v[:h]
+            v *= 0.5
+        s, sq = v.sum(axis=0), np.einsum("ij,ij->j", v, v)
+        total = s.copy() if total is None else total + s
+        total_sq = sq.copy() if total_sq is None else total_sq + sq
+    n = config.n_observations
+    mean = total / n
+    var = np.maximum(total_sq / n - mean * mean, 0.0) * (n / (n - 1))
+    return mean, np.sqrt(var / n)
+
+
+class TestPerRowReduction:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_matches_sum_reduction_bit_for_bit(self, antithetic):
+        config = IntegrationConfig(sample_count=3 * TILED_CHUNK, seed=23, dimension=2,
+                                   chunk_size=TILED_CHUNK, antithetic=antithetic)
+        for q in range(1, 20):
+            res = mc_mean(config, _columns(q))
+            mean, stderr = _sum_then_square_reduction(config, _columns(q))
+            assert np.array_equal(res.mean, mean), q
+            assert np.array_equal(res.stderr, stderr), q

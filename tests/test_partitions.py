@@ -25,6 +25,7 @@ from gauss_bubbles import (
     regular_simplex,
     simplicial_cone_partition,
 )
+from gauss_bubbles import exact
 
 import oracles
 
@@ -150,11 +151,20 @@ class TestCalibration:
         assert calibrated.offsets.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_fixed_point_when_targets_match(self):
-        config = cfg(2, seed=5)
-        part = propeller_partition()
+        # m = 5 calibrates on Monte Carlo volumes of the config's stream
+        config = cfg(4, seed=5)
+        part = simplicial_cone_partition(5)
         current = mc_volumes(part, config).volumes
         calibrated = calibrate_offsets_to_volumes(part, current, config)
         assert np.allclose(calibrated.offsets, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_exact_fixed_point_when_targets_match(self, m):
+        part = perturb(simplicial_cone_partition(m), 0.1, 6)
+        current = exact.cell_volumes(part)[0]
+        calibrated = calibrate_offsets_to_volumes(part, current, cfg(m - 1))
+        centred = part.offsets - part.offsets.mean()
+        assert np.allclose(calibrated.offsets, centred, rtol=0.0, atol=1e-12)
 
     def test_propeller_equal_volumes(self):
         calibrated = calibrate_offsets_to_volumes(
@@ -170,15 +180,25 @@ class TestCalibration:
         assert np.max(np.abs(measured - targets)) <= 1e-3
 
     def test_failure_carries_last_iterate(self):
-        # tolerance below the count granularity of a tiny sample stream;
-        # irrational targets keep exact count matches impossible
-        config = IntegrationConfig(sample_count=2_000, seed=0, dimension=2, chunk_size=1_000)
-        targets = (1 / math.pi, 1 / math.e, 1 - 1 / math.pi - 1 / math.e)
+        # tolerance below the count granularity of a tiny sample stream (m = 5
+        # calibrates on Monte Carlo volumes); irrational targets keep exact
+        # count matches impossible
+        config = IntegrationConfig(sample_count=2_000, seed=0, dimension=4, chunk_size=1_000)
+        targets = (1 / math.pi, 1 / math.e, 0.1, 0.1, 0.8 - 1 / math.pi - 1 / math.e)
         with pytest.raises(CalibrationError) as err:
             calibrate_offsets_to_volumes(
-                propeller_partition(), targets, config, tol=1e-6, max_iters=12)
+                simplicial_cone_partition(5), targets, config, tol=1e-6, max_iters=12)
         assert err.value.partition is not None
         assert err.value.residual is not None
+
+    def test_exact_failure_carries_last_iterate(self):
+        far = propeller_partition().with_offsets(np.array([3.0, -1.5, -1.5]))
+        with pytest.raises(CalibrationError) as err:
+            calibrate_offsets_to_volumes(far, (1 / 3, 1 / 3, 1 / 3), cfg(2), max_iters=1)
+        assert isinstance(err.value.partition, AffinePartition)
+        volumes = exact.cell_volumes(err.value.partition)[0]
+        assert err.value.residual == np.max(np.abs(volumes - 1 / 3))
+        assert err.value.residual > 1e-12
 
     def test_invalid_targets(self):
         with pytest.raises(DomainError):
