@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, exact
 from .discrete import (
     DiscreteFunction,
     clt_crosscheck,
@@ -195,7 +196,11 @@ def _cmd_penalty(spec: dict):
     spec["dimension"] = partition.d
     cfg = _integration_config(spec)
     w = _parse_floats(spec["w"]) if spec.get("w") else None
-    report = mc_moments(partition, w, cfg)
+    # Exact for m <= 4: the sampling flags are validated above but unused.
+    if exact.supports(partition):
+        report = exact.moments(partition, w)
+    else:
+        report = mc_moments(partition, w, cfg)
     results = {
         "moment_functional": report.moment_functional,
         "penalty": report.penalty,
@@ -483,7 +488,10 @@ def _regression_case(case_path: Path) -> tuple[str, list[str]]:
     return name, problems
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The CLI parser, built once per process: ``parse_args`` returns a new
+    namespace on every call and leaves the parser unchanged."""
     parser = _Parser(prog="gauss-bubbles", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")

@@ -594,26 +594,39 @@ class PartitionCell:
             return np.zeros(n)
         if np.any(np.isinf(self._b)):  # empty cell
             return np.full(n, np.inf)
+        # Per-row reductions over the m - 1 constraint columns run as folds
+        # column by column: on so few columns numpy's axis=1 reductions cost
+        # several times more, and both give the same bits.
         slack = pts @ self._a.T - self._b[None, :]
-        best = np.where(np.all(slack >= -1e-12, axis=1), 0.0, np.inf)
+        best = np.where(_all_columns(slack >= -1e-12), 0.0, np.inf)
         # The loop accepts projections that violate a constraint by up to
         # feasible_tol, so the bound is taken against that relaxed cell, and
         # the margin on limit keeps rounding from dropping a row whose
         # computed distance reads below limit.
         feasible_tol = 1e-9
-        lower = np.max((-feasible_tol - slack) / self._a_norm[None, :], axis=1)
+        lower = (-feasible_tol - slack[:, 0]) / self._a_norm[0]
+        for k in range(1, slack.shape[1]):
+            np.maximum(lower, (-feasible_tol - slack[:, k]) / self._a_norm[k], out=lower)
         todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
         near = pts[todo]
         near_best = np.full(todo.size, np.inf)
         for subset, sub, gram_inv in self._projectors:
             viol = near @ sub.T - self._b[subset][None, :]
             proj = near - (viol @ gram_inv) @ sub
-            feasible = np.all(proj @ self._a.T - self._b[None, :] >= -feasible_tol, axis=1)
+            feasible = _all_columns(proj @ self._a.T - self._b[None, :] >= -feasible_tol)
             dist = np.linalg.norm(near - proj, axis=1)
             better = feasible & (dist < near_best)
             near_best = np.where(better, dist, near_best)
         best[todo] = near_best
         return best
+
+
+def _all_columns(flags: np.ndarray) -> np.ndarray:
+    """``np.all(flags, axis=1)`` as a logical-and fold over the columns."""
+    out = flags[:, 0].copy()
+    for k in range(1, flags.shape[1]):
+        np.logical_and(out, flags[:, k], out=out)
+    return out
 
 
 @dataclass(frozen=True)

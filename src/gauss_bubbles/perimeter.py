@@ -8,13 +8,15 @@ argmax. The in-plane measure is evaluated in closed form whenever at most
 two other cells constrain a facet (every facet when m <= 4, in any d): it
 is then 1, a normal CDF, or a bivariate normal CDF through Owen's T
 function (``exact.bivariate_normal_cdf``). In d=2 the region is an interval
-of a 1-D Gaussian for any m. Beyond that the in-plane measure is sampled by
-Monte Carlo. For m <= 4 these exact facet masses also give the exact moment
-vectors of ``exact.moments``, through the divergence identity. The second
-estimator uses the outer epsilon-collar definition of surface area and
-extrapolates the collar mass to epsilon -> 0; for affine cells and round
-cylinders the collar test uses exact distances. Round cylinders also get
-closed forms.
+of a 1-D Gaussian for any m: once constraints with the same direction are
+merged, one bounds it on each side, and the bivariate CDF at correlation -1
+(up to rounding) gives the interval's mass. Beyond that the in-plane measure
+is sampled by Monte Carlo. For m <= 4 these exact facet masses also give the
+exact moment vectors of ``exact.moments``, through the divergence identity.
+The second estimator uses the outer epsilon-collar definition of surface
+area and extrapolates the collar mass to epsilon -> 0; for affine cells and
+round cylinders the collar test uses exact distances. Round cylinders also
+get closed forms.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from .montecarlo import (
     gaussian_density,
     mc_mean,
 )
-from .exact import bivariate_normal_cdf as _bivariate_normal_cdf
+from .exact import _SAME_DIRECTION_TOL, bivariate_normal_cdf as _bivariate_normal_cdf
 from .partitions import AffinePartition, RoundCylinder
 from .special import chi_square_cdf, sphere_surface_measure
 
@@ -116,26 +118,22 @@ def _facet_membership_fraction(
     """In-hyperplane Gaussian fraction of the joint-argmax region of (i, j).
 
     The region is cut out of the hyperplane by the linear conditions "cells
-    i and j beat cell k". Whenever at most two of them depend on the
-    in-plane position (every facet when m <= 4, in any d) the fraction is
-    closed-form (``_planar_facet_fraction``); in d = 2 the region is an
-    interval of a 1-D Gaussian coordinate for any m. Otherwise it is
-    estimated by sampling d-1 standard Gaussian coordinates in an
-    orthonormal basis of the hyperplane and testing joint-argmax membership
-    within the tie tolerance. ``extra_mask`` may further restrict the region
-    (e.g. a radial cut) acting on ambient points; it forces the sampling
-    path, except in d = 1, where the hyperplane is the single point
-    ``anchor``.
+    i and j beat cell k". Whenever at most two distinct ones depend on the
+    in-plane position (every facet when m <= 4 in any d, and every facet in
+    d = 2) the fraction is closed-form (``_planar_facet_fraction``).
+    Otherwise it is estimated by sampling d-1 standard Gaussian coordinates
+    in an orthonormal basis of the hyperplane and testing joint-argmax
+    membership within the tie tolerance. ``extra_mask`` may further
+    restrict the region (e.g. a radial cut) acting on ambient points; it
+    forces the sampling path, except in d = 1, where the hyperplane is the
+    single point ``anchor``.
     """
     d = partition.d
     anchor = facet.offset * facet.normal
 
     fraction = None
     if extra_mask is None:
-        if d == 2:
-            fraction = _line_facet_fraction(partition, facet, anchor)
-        else:
-            fraction = _planar_facet_fraction(partition, facet, anchor)
+        fraction = _planar_facet_fraction(partition, facet, anchor)
     elif d == 1:
         fraction = _planar_facet_fraction(partition, facet, anchor)
         fraction *= float(extra_mask(anchor[None, :])[0])
@@ -161,39 +159,6 @@ def _facet_membership_fraction(
     return mc_mean(plane_cfg, values, substream=FACET_SUBSTREAM + facet.ordinal)
 
 
-def _line_facet_fraction(partition: AffinePartition, facet: InterfaceFacet, anchor) -> float:
-    """Exact in-plane fraction when the facet hyperplane is a line (d = 2).
-
-    Each third cell k imposes a linear condition on the line coordinate xi,
-    so the joint-argmax region is an interval and its standard Gaussian
-    measure is a difference of normal CDFs.
-    """
-    from .special import normal_cdf
-
-    basis = _hyperplane_basis(facet.normal)[:, 0]
-    z, c = partition.directions, partition.offsets
-    lo, hi = -math.inf, math.inf
-    for k in range(partition.m):
-        if k in (facet.i, facet.j):
-            continue
-        alpha = float((anchor @ (z[facet.i] - z[k])) + c[facet.i] - c[k])
-        beta = float(basis @ (z[facet.i] - z[k]))
-        if abs(beta) <= _PARALLEL_TOL:
-            if alpha < -_JOINT_ARGMAX_TOL:
-                return 0.0
-            continue
-        bound = -alpha / beta
-        if beta > 0:
-            lo = max(lo, bound)
-        else:
-            hi = min(hi, bound)
-    if hi <= lo:
-        return 0.0
-    upper = 1.0 if math.isinf(hi) else normal_cdf(hi)
-    lower = 0.0 if math.isinf(lo) else normal_cdf(lo)
-    return max(upper - lower, 0.0)
-
-
 def _planar_facet_fraction(
     partition: AffinePartition, facet: InterfaceFacet, anchor
 ) -> float | None:
@@ -205,8 +170,11 @@ def _planar_facet_fraction(
     p_k = g_k - <g_k, n> n. A constraint with p_k = 0 is constant on the
     plane; the others hold with standard normal probability Phi(t_k),
     t_k = alpha_k / |p_k|, and two of them jointly with the bivariate normal
-    CDF at correlation <p_1, p_2> / (|p_1| |p_2|). Returns None when three
-    or more constraints vary on the plane.
+    CDF at correlation <p_1, p_2> / (|p_1| |p_2|). Constraints with the same
+    unit direction u_k are merged, keeping the smallest t_k. In d = 2 every
+    in-plane direction is one of two opposite ones, so every facet is
+    covered, for any m. Returns None when three or more distinct constraints
+    vary on the plane.
     """
     z, c = partition.directions, partition.offsets
     others = [k for k in range(partition.m) if k not in (facet.i, facet.j)]
@@ -217,13 +185,19 @@ def _planar_facet_fraction(
     flat = norms <= _PARALLEL_TOL
     if np.any(alpha[flat] < -_JOINT_ARGMAX_TOL):
         return 0.0
-    t = alpha[~flat] / norms[~flat]
-    u = p[~flat] / norms[~flat, None]
-    if t.size == 0:
+    t, u = [], []
+    for t_k, u_k in zip(alpha[~flat] / norms[~flat], p[~flat] / norms[~flat, None]):
+        same = [l for l, v in enumerate(u) if np.linalg.norm(u_k - v) <= _SAME_DIRECTION_TOL]
+        if same:
+            t[same[0]] = min(t[same[0]], t_k)
+        else:
+            t.append(t_k)
+            u.append(u_k)
+    if len(t) == 0:
         return 1.0
-    if t.size == 1:
+    if len(t) == 1:
         return float(ndtr(t[0]))
-    if t.size == 2:
+    if len(t) == 2:
         r = float(np.clip(u[0] @ u[1], -1.0, 1.0))
         return _bivariate_normal_cdf(float(t[0]), float(t[1]), r)
     return None
@@ -374,11 +348,17 @@ def minkowski_partition_perimeter(
     def values(x):
         label = partition.classify_points(x)
         out = np.zeros((x.shape[0], m + 1, k))
+        total = out[:, m]
         for i, cell in enumerate(cells):
             outside = np.flatnonzero(label != i)
             dist = cell.distance(x[outside], limit=eps[0])
-            out[outside, i] = (dist[:, None] < eps_arr[None, :]) / eps_arr[None, :]
-        out[:, m] = out[:, :m].sum(axis=1)
+            # Only rows inside the widest collar are nonzero; eps[0] is the
+            # largest epsilon.
+            near = dist < eps[0]
+            out[outside[near], i] = (dist[near, None] < eps_arr[None, :]) / eps_arr[None, :]
+            # Cell by cell, in order: with the >= 3 epsilons of a schedule
+            # that is how out[:, :m].sum(axis=1) adds, bit for bit.
+            total += out[:, i]
         return out.reshape(x.shape[0], (m + 1) * k)
 
     res = mc_mean(cfg, values, substream=COLLAR_SUBSTREAM)

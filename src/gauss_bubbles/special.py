@@ -1,5 +1,5 @@
-"""Small special-function kit: normal CDF, sphere surface measure, and the
-regularized lower incomplete gamma function (chi-square CDF).
+"""Small special-function kit: sphere surface measure and the regularized
+lower incomplete gamma function (chi-square CDF).
 
 The incomplete gamma uses the classic split: power series for x < a + 1,
 Lentz continued fraction otherwise. scipy's implementation is used by the
@@ -14,15 +14,6 @@ from .errors import DomainError
 _EPS = 1e-15
 _TINY = 1e-300
 _MAX_ITER = 500
-
-
-def normal_cdf(x: float) -> float:
-    """Phi(x) for the standard normal distribution."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def normal_density(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def sphere_surface_measure(k: int) -> float:

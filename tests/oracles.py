@@ -158,3 +158,42 @@ def planar_polygon_probability(limits, directions) -> float:
         quad(strip, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
         for lo, hi in zip(edges[:-1], edges[1:])
     )
+
+
+def line_facet_fraction(directions, offsets, i: int, j: int) -> float:
+    """In-line standard Gaussian measure of the facet (i, j) of a d = 2
+    argmax partition with functionals <x, z_k> + c_k.
+
+    The facet lies on the line <x, n> = t through t n, with n the unit
+    normal from cell i into cell j. Each third cell k bounds the line
+    coordinate s (along the direction n turned by 90 degrees) from one side,
+    so the facet is an interval [lo, hi] and its measure is
+    Phi(hi) - Phi(lo).
+    """
+    z = np.asarray(directions, dtype=float)
+    c = np.asarray(offsets, dtype=float)
+    gap = z[j] - z[i]
+    normal = gap / np.linalg.norm(gap)
+    anchor = float((c[i] - c[j]) / np.linalg.norm(gap)) * normal
+    along = np.array([-normal[1], normal[0]])
+    lo, hi = -math.inf, math.inf
+    for k in range(z.shape[0]):
+        if k in (i, j):
+            continue
+        alpha = float(anchor @ (z[i] - z[k]) + c[i] - c[k])
+        beta = float(along @ (z[i] - z[k]))
+        if abs(beta) <= 1e-15:
+            if alpha < -1e-12:
+                return 0.0
+            continue
+        if beta > 0:
+            lo = max(lo, -alpha / beta)
+        else:
+            hi = min(hi, -alpha / beta)
+    if hi <= lo:
+        return 0.0
+
+    def cdf(y: float) -> float:
+        return 0.5 * math.erfc(-y / math.sqrt(2.0))
+
+    return max(cdf(hi) - cdf(lo), 0.0)

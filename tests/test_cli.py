@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import math
 import os
@@ -5,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gauss_bubbles.cli import main
@@ -75,9 +78,10 @@ class TestBasicCommands:
                      "--seed", "5", "--out-dir", str(tmp_path), "--tag", "pen"]) == 0
         pen = json.loads((tmp_path / "pen_summary.json").read_text())
         assert pen["results"]["moment_functional"] == pytest.approx(
-            9.0 / (8.0 * math.pi), rel=0.02)
+            9.0 / (8.0 * math.pi), rel=1e-12)
         assert pen["results"]["penalty"] == pytest.approx(
             math.sqrt(math.pi / 2.0) * pen["results"]["moment_functional"], rel=1e-12)
+        assert pen["stderr"] == {"moment_functional": 0.0, "penalty": 0.0}
 
         assert main(["noise-stability", "--partition", "halfspaces", "--rho", "0.5",
                      "--samples", "200000", "--seed", "5", "--out-dir", str(tmp_path),
@@ -199,6 +203,125 @@ class TestSpecFiles:
             rows = (out / "perimeter_facets.csv").read_text().splitlines()
             assert len(rows) == 1 + facets, token
 
+
+
+def read_report(out: Path, tag: str):
+    """(summary, {file name: bytes}) of one CLI run's report files."""
+    summary = json.loads((out / f"{tag}_summary.json").read_text())
+    return summary, {p.name: p.read_bytes() for p in sorted(out.glob(f"{tag}_*"))}
+
+
+def penalty_cli(out: Path, partition: str, *flags, tag="penalty"):
+    code = main(["penalty", "--partition", partition, *flags, "--out-dir", str(out),
+                 "--tag", tag])
+    assert code == 0
+    return read_report(out, tag)
+
+
+class TestExactPenalty:
+    """``penalty`` evaluates volumes and moments exactly for m <= 4."""
+
+    def test_cones4_closed_form(self, tmp_path):
+        summary, _ = penalty_cli(tmp_path, "cones4", "--samples", "1e4", "--seed", "1")
+        assert summary["results"]["moment_functional"] == pytest.approx(
+            0.3532045528490168, rel=1e-12)
+        assert summary["stderr"]["moment_functional"] == 0.0
+
+    @pytest.mark.parametrize("partition", ["propeller3", "cones4"])
+    def test_sampling_flags_do_not_change_results(self, tmp_path, partition):
+        first, files_a = penalty_cli(tmp_path / "a", partition, "--samples", "1e4",
+                                     "--seed", "1")
+        second, files_b = penalty_cli(tmp_path / "b", partition, "--samples", "3e5",
+                                      "--seed", "99", "--antithetic")
+        # The summaries echo their specs; everything else is identical.
+        assert first["spec"] != second["spec"]
+        assert (first["results"], first["stderr"]) == (second["results"], second["stderr"])
+        assert files_a["penalty_moments.csv"] == files_b["penalty_moments.csv"]
+
+    def test_five_cells_stay_monte_carlo(self, tmp_path):
+        summary, _ = penalty_cli(tmp_path, "cones5", "--samples", "2e5", "--seed", "1")
+        assert summary["stderr"]["moment_functional"] > 0.0
+        assert summary["stderr"]["penalty"] > 0.0
+
+    @pytest.mark.parametrize("w", [None, "0.1,-0.05,0.2"])
+    def test_perturbed_cones4_against_monte_carlo(self, tmp_path, w):
+        from gauss_bubbles import IntegrationConfig, mc_moments, perturb, simplicial_cone_partition
+
+        part = perturb(simplicial_cone_partition(4), 0.1, 17)
+        path = tmp_path / "part.json"
+        path.write_text(part.to_json())
+        flags = ["--samples", "1e4", "--seed", "1"] + (["--w", w] if w else [])
+        summary, _ = penalty_cli(tmp_path, str(path), *flags)
+        with (tmp_path / "penalty_moments.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        volumes = np.array([float(r["volume"]) for r in rows])
+        moments = np.array([[float(r[f"z{k}"]) for k in range(3)] for r in rows])
+        shift = None if w is None else [float(v) for v in w.split(",")]
+        mc = mc_moments(part, shift, IntegrationConfig(
+            sample_count=1_000_000, seed=4, dimension=3, chunk_size=125_000))
+        assert np.all(np.abs(volumes - mc.volumes) <= 4.0 * mc.volumes_stderr)
+        assert np.all(np.abs(moments - mc.moments) <= 4.0 * mc.moments_stderr)
+        assert abs(summary["results"]["moment_functional"] - mc.moment_functional) <= (
+            4.0 * mc.moment_functional_stderr)
+
+    def test_empty_cell_with_a_shift_exits_2(self, tmp_path):
+        from gauss_bubbles import AffinePartition
+
+        # Cell 0 beats cell 1 everywhere, so cell 1 is empty and w / a_1 is undefined.
+        part = AffinePartition(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                               np.array([0.0, -1.0, 0.0]), np.zeros(2))
+        path = tmp_path / "part.json"
+        path.write_text(part.to_json())
+        out = tmp_path / "out"
+        code = main(["penalty", "--partition", str(path), "--w", "0.1,0", "--samples", "1e4",
+                     "--seed", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert not out.exists()
+        penalty_cli(tmp_path / "unshifted", str(path), "--samples", "1e4", "--seed", "1")
+
+
+class TestParser:
+    def test_main_calls_share_no_state(self, tmp_path):
+        assert main(["perimeter", "--partition", "propeller3", "--samples", "1e4",
+                     "--seed", "1", "--antithetic", "--tag", "a",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert main(["perimeter", "--partition", "propeller3", "--samples", "1e4",
+                     "--seed", "1", "--out-dir", str(tmp_path)]) == 0
+        first = json.loads((tmp_path / "a_summary.json").read_text())
+        second = json.loads((tmp_path / "perimeter_summary.json").read_text())
+        assert first["spec"]["antithetic"] is True
+        assert "antithetic" not in second["spec"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a_facets.csv", "a_summary.json", "perimeter_facets.csv", "perimeter_summary.json"]
+
+
+# Collar reports as the axis=1 reductions of the collar and of the cell
+# distances gave them, before those became column folds: (partition,
+# antithetic, minkowski_total, its stderr, SHA-256 of the collar table), at
+# 2e5 samples and seed 3.
+COLLAR_REPORTS = [
+    ("cones4", False, 0.7364601623598362, 0.008803600500057636,
+     "833a64793c322ae7d6c84b357c9007a8f14fc4ecf892542a645c5a01c60a4bb9"),
+    ("cones4", True, 0.7191629882304068, 0.008715829017560808,
+     "aa9b83c549ab5c913b5478cc93af0f7fbd57d969b4d44d60d7256b5673e59204"),
+    ("cones5", False, 0.8224595287609084, 0.009403926026964505,
+     "eb9aaf384705193698cda82feb5ef1d95ab09f3c109033da0ddf6f91b651cf99"),
+    ("cones5", True, 0.8071335739347104, 0.009332378386079162,
+     "686d5c41924948d53e78d3eebe871dc5d9ec99a04506ab4c96f45348ee8ac542"),
+]
+
+
+@pytest.mark.parametrize("partition,antithetic,total,stderr,digest", COLLAR_REPORTS)
+def test_collar_reports_are_unchanged(tmp_path, partition, antithetic, total, stderr, digest):
+    code = main(["perimeter", "--method", "minkowski", "--partition", partition,
+                 "--samples", "2e5", "--seed", "3", "--out-dir", str(tmp_path)]
+                + (["--antithetic"] if antithetic else []))
+    assert code == 0
+    summary = json.loads((tmp_path / "perimeter_summary.json").read_text())
+    assert summary["results"]["minkowski_total"] == total
+    assert summary["stderr"]["minkowski_total"] == stderr
+    table = (tmp_path / "perimeter_collar.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == digest
 
 
 # Certificates that read a false "fail" when calibration ran on Monte Carlo

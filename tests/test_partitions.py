@@ -353,7 +353,71 @@ def _points_near_faces(a, b, limit, rng):
     return np.vstack(out) if out else np.zeros((0, d))
 
 
+def _distance_with_row_reductions(cell, points, limit=math.inf):
+    """``PartitionCell.distance`` with its per-row reductions written as
+    ``np.all(..., axis=1)`` and ``np.max(..., axis=1)``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b = cell._a, cell._b
+    if a.shape[0] == 0:
+        return np.zeros(pts.shape[0])
+    if np.any(np.isinf(b)):
+        return np.full(pts.shape[0], np.inf)
+    slack = pts @ a.T - b[None, :]
+    best = np.where(np.all(slack >= -1e-12, axis=1), 0.0, np.inf)
+    lower = np.max((-1e-9 - slack) / cell._a_norm[None, :], axis=1)
+    todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
+    near = pts[todo]
+    near_best = np.full(todo.size, np.inf)
+    for subset, sub, gram_inv in cell._projectors:
+        viol = near @ sub.T - b[subset][None, :]
+        proj = near - (viol @ gram_inv) @ sub
+        feasible = np.all(proj @ a.T - b[None, :] >= -1e-9, axis=1)
+        dist = np.linalg.norm(near - proj, axis=1)
+        near_best = np.where(feasible & (dist < near_best), dist, near_best)
+    best[todo] = near_best
+    return best
+
+
+def _tie_points(a, b, rng):
+    """Points on constraint hyperplanes, and points with equal normalised
+    violations of two constraints (ties of the per-row maximum)."""
+    d = a.shape[1]
+    unit = a / np.linalg.norm(a, axis=1)[:, None]
+    out = []
+    for k, l in itertools.combinations(range(a.shape[0]), 2):
+        for v in (-0.3, 0.0, 1e-12, 0.05, 0.5):
+            # <u_k, x> = b_k/|a_k| - v and the same for l: both violated by v.
+            rows = unit[[k, l]]
+            rhs = b[[k, l]] / np.linalg.norm(a[[k, l]], axis=1) - v
+            base = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+            along = null_space(rows)
+            out.append(base + (along @ rng.standard_normal((along.shape[1], 6))).T)
+    return np.vstack(out) if out else np.zeros((0, d))
+
+
 class TestPartitionCell:
+    @pytest.mark.parametrize("limit", [math.inf, 0.1, 1e-3])
+    @pytest.mark.parametrize("kind", sorted(LIMIT_CELLS) + ["cones5", "planar_cones6"])
+    def test_column_folds_match_row_reductions(self, kind, limit):
+        if kind == "cones5":
+            part, index = perturb(simplicial_cone_partition(5), 0.1, 2), 3
+        elif kind == "planar_cones6":
+            rng = np.random.default_rng(6)
+            part, index = AffinePartition(rng.standard_normal((6, 2)), rng.normal(0.0, 0.5, 6),
+                                          np.zeros(2)), 0
+        else:
+            part, index = LIMIT_CELLS[kind]()
+        cell = PartitionCell(part, index)
+        a, b = part.cell_constraints(index)
+        rng = np.random.default_rng(47)
+        pts = [rng.standard_normal((5000, part.d)) * 1.5, np.zeros((1, part.d))]
+        if np.all(np.isfinite(b)) and a.shape[0] > 0:
+            pts += [_points_near_faces(a, b, 0.1, rng), _tie_points(a, b, rng)]
+        pts = np.vstack(pts)
+        got = cell.distance(pts, limit=limit)
+        assert np.array_equal(got, _distance_with_row_reductions(cell, pts, limit))
+        assert cell.distance(pts[:0], limit=limit).shape == (0,)
+
     def test_distance_zero_inside(self):
         cell = PartitionCell(propeller_partition(), 0)
         pts = np.array([[2.0, 0.0], [1.0, 0.2]])

@@ -26,6 +26,7 @@ from gauss_bubbles import (
     symmetric_scan,
     tail_perimeter_check,
 )
+from gauss_bubbles import perimeter
 from gauss_bubbles.perimeter import _bivariate_normal_cdf, facet_mass
 from gauss_bubbles.special import chi_square_cdf, regularized_gamma_p, sphere_surface_measure
 
@@ -232,6 +233,53 @@ class TestClosedFormFacetFraction:
         assert facet_perimeter(cones5, cfg(4, samples=100_000)) == facets
         assert tail_perimeter_check(cones4, 2.0, None, cfg(3, samples=100_000)) == tail
         assert facets.total_stderr > 0.0 and tail.stderr > 0.0
+
+
+class TestPlanarFacets:
+    """d = 2 facets take the same closed form as any other exact facet."""
+
+    @staticmethod
+    def _random_planar_partitions():
+        rng = np.random.default_rng(2024)
+        for m in range(3, 9):
+            for _ in range(15):
+                yield AffinePartition(rng.standard_normal((m, 2)), rng.normal(0.0, 0.6, m),
+                                      np.zeros(2))
+
+    def test_matches_the_line_interval_oracle(self):
+        count = nonzero = 0
+        for part in self._random_planar_partitions():
+            for facet in interface_facets(part):
+                got = perimeter._planar_facet_fraction(part, facet, facet.offset * facet.normal)
+                want = oracles.line_facet_fraction(part.directions, part.offsets,
+                                                   facet.i, facet.j)
+                assert got is not None
+                assert abs(got - want) <= 1e-15, (part.m, facet.i, facet.j)
+                count += 1
+                nonzero += want > 0.0
+        assert count >= 1000 and nonzero >= 300
+
+    def test_merged_limits_and_opposite_directions(self):
+        # Facet (0, 1) lies on x_1 = 0. Cells 2 and 3 bound x_2 above, at
+        # 0.5 and 1.5, and cell 4 below, at -0.25: the facet is
+        # -0.25 <= x_2 <= 0.5.
+        part = AffinePartition(
+            np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, -4.0]]),
+            np.array([0.0, 0.0, -1.0, -1.5, -1.0]), np.zeros(2))
+        facet = next(f for f in interface_facets(part) if (f.i, f.j) == (0, 1))
+        got = perimeter._planar_facet_fraction(part, facet, facet.offset * facet.normal)
+        assert got == pytest.approx(ndtr(0.5) - ndtr(-0.25), rel=1e-15)
+
+    def test_planar_facets_take_no_hyperplane_basis(self, monkeypatch):
+        part = next(p for p in self._random_planar_partitions() if p.m == 8)
+        want = facet_perimeter(part, cfg(2))
+
+        def refuse(normal):
+            raise AssertionError("a d = 2 facet asked for a hyperplane basis")
+
+        monkeypatch.setattr(perimeter, "_hyperplane_basis", refuse)
+        assert facet_perimeter(part, cfg(2)) == want
+        assert want.total_stderr == 0.0
 
 
 class TestMinkowski:
