@@ -1,6 +1,7 @@
 """Functions on the product alphabet {0, ..., m-1}^n with values in the
 probability simplex: expectations, influences, the m-ary resampling noise
-operator, noise stability, and the plurality rule.
+operator, noise stability, the plurality rule, and the exact two-candidate
+majority check against its Gaussian limit.
 
 Tables are stored dense with shape (m,) * n (+ a trailing value axis for
 simplex-valued functions), in lexicographic order of the coordinates when
@@ -8,9 +9,7 @@ flattened. The noise operator resamples each coordinate independently: a
 coordinate keeps its symbol with probability (1 + (m-1)*rho)/m and moves to
 each of the other m-1 symbols with probability (1-rho)/m, which is the
 unique stochastic completion of the move probability and reduces to the
-usual (1+rho)/2 stay probability at m=2. The constructor also accepts an
-alternate stay convention (1 - (m-1)*rho)/m but refuses it whenever the row
-does not sum to one; see the kernel docstring.
+usual (1+rho)/2 stay probability at m=2.
 """
 from __future__ import annotations
 
@@ -23,7 +22,6 @@ import numpy as np
 from numpy.random import Generator
 
 from .errors import CapacityError, ConfigError, ContractViolationError, DomainError
-from .montecarlo import DISCRETE_SUBSTREAM
 
 #: Largest dense table handled by the exact evaluator.
 DEFAULT_CAPACITY = 10**7
@@ -36,16 +34,11 @@ class NoiseKernel:
     """Single-coordinate resampling kernel on m symbols at correlation rho.
 
     ``stay`` + (m-1) * ``move`` == 1 holds identically; nonnegativity of the
-    probabilities restricts rho to [-1/(m-1), 1]. With
-    ``alt_stay_convention=True`` the stay probability (1-(m-1)*rho)/m is
-    requested instead; that variant only forms a stochastic row when it
-    coincides with the standard one (rho = 0), and any other rho raises
-    rather than silently using an unnormalized kernel.
+    probabilities restricts rho to [-1/(m-1), 1].
     """
 
     m: int
     rho: float
-    alt_stay_convention: bool = False
 
     def __post_init__(self):
         if self.m < 2:
@@ -55,20 +48,9 @@ class NoiseKernel:
             raise DomainError(
                 f"rho={self.rho} outside the admissible range [{lo}, 1] for m={self.m}"
             )
-        if self.alt_stay_convention:
-            alt_stay = (1.0 - (self.m - 1) * self.rho) / self.m
-            row_sum = alt_stay + (self.m - 1) * self.move
-            if abs(row_sum - 1.0) > 1e-15:
-                raise DomainError(
-                    "alternate stay convention (1-(m-1)rho)/m does not form a "
-                    f"stochastic row at rho={self.rho} (row sum {row_sum!r}); "
-                    "refusing an unnormalized kernel"
-                )
 
     @property
     def stay(self) -> float:
-        if self.alt_stay_convention:
-            return (1.0 - (self.m - 1) * self.rho) / self.m
         return (1.0 + (self.m - 1) * self.rho) / self.m
 
     @property
@@ -121,7 +103,7 @@ class DiscreteFunction:
         return self.m**self.n
 
     def as_matrix(self) -> np.ndarray:
-        """(m^n, m) view in lexicographic row order."""
+        """(m^n, m) array in lexicographic row order."""
         return self.values.reshape(self.n_entries, self.m)
 
     def to_csv(self) -> str:
@@ -164,18 +146,31 @@ def influences(g: np.ndarray, i: int):
 def apply_noise_kernel(g: np.ndarray, rho: float, kernel: NoiseKernel | None = None) -> np.ndarray:
     """Apply the product resampling kernel to a real table, axis by axis.
 
-    Cost is O(n * m^(n+1)). At rho = 1 this is the identity; at rho = 0
-    every entry becomes the global mean.
+    Along one axis the kernel is move * J + (stay - move) * I (J the all-ones
+    matrix), so each pass sums the table over that axis and adds the scaled
+    sum to the scaled table, in place on one work copy; cost is O(n * m^n)
+    and ``g`` is never written. At rho = 1 this is the identity; at rho = 0
+    every entry becomes the global mean. An explicit ``kernel`` overrides
+    ``rho`` and must be on the table's alphabet.
     """
     table = np.asarray(g, dtype=float)
     m = table.shape[0]
     if any(s != m for s in table.shape):
         raise ContractViolationError("table must be m ** n shaped")
-    k = kernel.matrix if kernel is not None else NoiseKernel(m=m, rho=rho).matrix
-    out = table
-    for axis in range(table.ndim):
-        moved = np.moveaxis(out, axis, -1)
-        out = np.moveaxis(moved @ k.T, -1, axis)
+    if kernel is None:
+        kernel = NoiseKernel(m=m, rho=rho)
+    elif kernel.m != m:
+        raise ContractViolationError(f"kernel on {kernel.m} symbols, table on {m}")
+    out = np.array(table)
+    for axis in range(out.ndim):
+        # summing the m slices beats out.sum(axis) on the trailing axes
+        parts = np.moveaxis(out, axis, 0)
+        total = parts[0] + parts[1]
+        for part in parts[2:]:
+            total += part
+        total *= kernel.move
+        out *= kernel.stay - kernel.move
+        out += np.expand_dims(total, axis)
     return out
 
 
@@ -262,15 +257,16 @@ def plurality_function(m: int, n: int, capacity: int = DEFAULT_CAPACITY) -> Disc
         raise DomainError(f"need at least 1 coordinate, got n={n}")
     if m**n > capacity:
         raise CapacityError(f"plurality table with {m**n} entries exceeds capacity {capacity}")
-    words = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n), lexicographic
-    counts = (words[:, :, None] == np.arange(m)[None, None, :]).sum(axis=1)
-    top = counts.max(axis=1, keepdims=True)
-    winners = counts == top
-    strict = winners.sum(axis=1) == 1
-    values = np.where(
-        strict[:, None], winners.astype(float), np.full((1, m), 1.0 / m)
-    )
-    return DiscreteFunction(m=m, n=n, values=values.reshape((m,) * n + (m,)))
+    # counts[j, w_1, ..., w_k] = #{i : w_i = j}, grown one coordinate at a time;
+    # the candidate axis comes first so its m slices are contiguous
+    eye = np.eye(m, dtype=np.min_scalar_type(n))
+    counts = eye
+    for k in range(1, n):
+        counts = counts[..., None] + eye.reshape((m,) + (1,) * k + (m,))
+    winners = counts == counts.max(axis=0)
+    strict = winners.sum(axis=0) == 1
+    values = np.where(strict, winners, 1.0 / m)
+    return DiscreteFunction(m=m, n=n, values=np.moveaxis(values, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -286,44 +282,65 @@ class CltCrosscheckResult:
 def clt_crosscheck(rho: float, n: int, cfg) -> CltCrosscheckResult:
     """Noise stability of the two-candidate majority versus its Gaussian limit.
 
-    The majority of a uniform word depends only on the count K of ones,
-    K ~ Binomial(n, 1/2); after per-coordinate resampling the partner count
-    is Binomial(K, stay) + Binomial(n - K, move), so the agreement
-    probability is sampled exactly with three binomial draws per pair. The
-    Gaussian benchmark is the same-side probability of a correlated pair for
-    a half-space of measure 1/2, namely 1/2 + arcsin(rho)/pi.
+    The partner word keeps each coordinate with probability |rho| (copied
+    for rho >= 0, flipped for rho < 0) and resamples it uniformly otherwise,
+    which gives the stay probability (1+rho)/2. Given r resampled
+    coordinates and a ones among the n - r kept ones, the word's majority is
+    0 with probability p = P(a + Binomial(r, 1/2) <= n//2), and the
+    partner's majority is independent of it given (r, a): equal to it with
+    the same law when rho >= 0, and to its complement, by the flip symmetry
+    of Binomial(r, 1/2), when rho < 0. So the disagreement (rho >= 0) or
+    agreement (rho < 0) probability is E[2 p (1 - p)] over r ~ Binomial(n,
+    1 - |rho|) and a ~ Binomial(n - r, 1/2), summed exactly in O(n^2) from
+    Pascal's recurrence. The value is exactly 1/2 at rho = 0, 1 at rho = 1
+    and 0 at rho = -1. The Gaussian benchmark is the same-side probability
+    of a correlated pair for a half-space of measure 1/2, namely
+    1/2 + arcsin(rho)/pi.
 
-    ``cfg`` supplies sample_count, seed and chunk_size; antithetic sampling
-    has no binomial analogue and is rejected.
+    The sum needs about (n+1)^2 floats and fails with a capacity error
+    beyond ``DEFAULT_CAPACITY``. ``cfg`` is accepted for its validated Monte Carlo
+    settings, which do not change the result; ``discrete_stderr`` is 0.
+    Antithetic sampling is still rejected.
     """
     if n < 1 or n % 2 == 0:
         raise DomainError("the voter count n must be odd (majority ties are out of scope)")
     if getattr(cfg, "antithetic", False):
-        raise ConfigError("antithetic sampling does not apply to the binomial pair sampler")
-    kernel = NoiseKernel(m=2, rho=rho)  # validates rho in [-1, 1]
+        raise ConfigError("antithetic sampling does not apply to the majority cross-check")
+    NoiseKernel(m=2, rho=rho)  # validates rho in [-1, 1]
+    if (n + 1) ** 2 > DEFAULT_CAPACITY:
+        raise CapacityError(
+            f"majority sum over {(n + 1) ** 2} count pairs exceeds capacity {DEFAULT_CAPACITY}"
+        )
 
-    total = 0.0
-    remaining = cfg.sample_count
-    chunk = 0
-    while remaining > 0:
-        block = min(cfg.chunk_size, remaining)
-        remaining -= block
-        rng = Generator(np.random.Philox(key=[cfg.seed, (DISCRETE_SUBSTREAM << 32) | chunk]))
-        chunk += 1
-        ones = rng.binomial(n, 0.5, size=block)
-        partner_ones = rng.binomial(ones, kernel.stay) + rng.binomial(n - ones, kernel.move)
-        agree = (ones > n / 2) == (partner_ones > n / 2)
-        total += float(agree.sum())
-    mean = total / cfg.sample_count
-    # agreement is an indicator, so the sample variance is mean*(1-mean)
-    var = max(mean * (1.0 - mean), 0.0) * cfg.sample_count / max(cfg.sample_count - 1, 1)
-    stderr = math.sqrt(var / cfg.sample_count)
+    h = n // 2
+    keep = abs(rho)
+    # halves[m, 0, u] and halves[m, 1, u]: pmf and cdf of Binomial(m, 1/2) at
+    # u <= h; both follow x_m[u] = (x_{m-1}[u] + x_{m-1}[u-1]) / 2
+    halves = np.empty((n + 1, 2, h + 1))
+    halves[0, 0] = 0.0
+    halves[0, 0, 0] = 1.0
+    halves[0, 1] = 1.0
+    resampled = np.zeros(n + 1)  # pmf of Binomial(n, 1 - keep)
+    resampled[0] = 1.0
+    for m in range(1, n + 1):
+        prev, cur = halves[m - 1], halves[m]
+        np.add(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
+        cur[:, 0] = prev[:, 0]
+        cur *= 0.5
+        resampled[1:m + 1] = keep * resampled[1:m + 1] + (1.0 - keep) * resampled[:m]
+        resampled[0] *= keep
+    pmf, cdf = halves[:, 0], halves[:, 1]
+    # row r, column u: a = h - u kept ones among n - r, p = cdf[r, u]
+    split = 2.0 * cdf * (1.0 - cdf)
+    split *= pmf[::-1, ::-1]
+    split_mass = float(resampled @ split.sum(axis=1))
+    discrete = 1.0 - split_mass if rho >= 0 else split_mass
     gaussian = 0.5 + math.asin(rho) / math.pi
     return CltCrosscheckResult(
         rho=rho,
         n=n,
-        discrete=mean,
-        discrete_stderr=stderr,
+        discrete=discrete,
+        discrete_stderr=0.0,
         gaussian=gaussian,
-        gap=mean - gaussian,
+        gap=discrete - gaussian,
     )

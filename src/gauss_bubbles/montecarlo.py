@@ -57,7 +57,6 @@ MAX_CELL_MOMENT_NORM = 1.0 / math.sqrt(TWO_PI)
 MAIN_SUBSTREAM = 0
 PAIR_SUBSTREAM = 1
 ALIGN_SUBSTREAM = 2
-DISCRETE_SUBSTREAM = 3  # binomial pair sampler of discrete.clt_crosscheck
 COLLAR_SUBSTREAM = 4
 FACET_SUBSTREAM = 1000
 

@@ -197,3 +197,86 @@ def line_facet_fraction(directions, offsets, i: int, j: int) -> float:
         return 0.5 * math.erfc(-y / math.sqrt(2.0))
 
     return max(cdf(hi) - cdf(lo), 0.0)
+
+
+def plurality_table(m: int, n: int) -> np.ndarray:
+    """Plurality values from the (m^n, n) word matrix, shape (m,)*n + (m,).
+
+    A strict winner j maps to e_j; a tie for the top count maps to the
+    barycenter.
+    """
+    words = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n), lexicographic
+    counts = (words[:, :, None] == np.arange(m)[None, None, :]).sum(axis=1)
+    top = counts.max(axis=1, keepdims=True)
+    winners = counts == top
+    strict = winners.sum(axis=1) == 1
+    values = np.where(strict[:, None], winners.astype(float), np.full((1, m), 1.0 / m))
+    return values.reshape((m,) * n + (m,))
+
+
+def noise_kernel_matmul(table: np.ndarray, kernel_matrix: np.ndarray) -> np.ndarray:
+    """Product kernel applied as one (m, m) matrix product per axis."""
+    out = np.asarray(table, dtype=float)
+    for axis in range(out.ndim):
+        moved = np.moveaxis(out, axis, -1)
+        out = np.moveaxis(moved @ kernel_matrix.T, -1, axis)
+    return out
+
+
+def majority_agreement_enumerated(rho: float, n: int) -> float:
+    """P(maj(x) = maj(y)) for rho-correlated x, y in {0,1}^n, by listing
+    every word pair (odd n)."""
+    stay = (1.0 + rho) / 2.0
+    move = (1.0 - rho) / 2.0
+    words = list(itertools.product((0, 1), repeat=n))
+    terms = []
+    for x in words:
+        for y in words:
+            if (2 * sum(x) > n) == (2 * sum(y) > n):
+                hamming = sum(1 for a, b in zip(x, y) if a != b)
+                terms.append(stay ** (n - hamming) * move**hamming)
+    return math.fsum(terms) / 2**n
+
+
+def majority_agreement_binom(rho: float, n: int) -> float:
+    """The same probability from scipy's binomial pmf and cdf (odd n).
+
+    With K ~ Bin(n, 1/2) ones and partner count
+    K' = Bin(K, stay) + Bin(n - K, move), the global flip symmetry gives
+    P(agree) = 1 - 2 sum_{k > n/2} P(K = k) P(K' <= n//2 | K = k).
+    """
+    from scipy.stats import binom
+
+    half = n // 2
+    stay = (1.0 + rho) / 2.0
+    move = (1.0 - rho) / 2.0
+    k = np.arange(half + 1, n + 1)[:, None]
+    x = np.arange(n + 1)[None, :]
+    below = binom.pmf(x, k, stay) * binom.cdf(half - x, n - k, move)
+    return float(1.0 - 2.0 * np.sum(binom.pmf(k[:, 0], n, 0.5) * below.sum(axis=1)))
+
+
+def majority_pair_sampler(rho: float, n: int, sample_count: int, seed: int,
+                          chunk_size: int):
+    """Monte Carlo estimate and stderr of the majority agreement probability.
+
+    Three binomial draws per pair: K ~ Bin(n, 1/2) ones, then the partner
+    count Bin(K, stay) + Bin(n - K, move). Chunk c draws from Philox key
+    [seed, (3 << 32) | c].
+    """
+    stay = (1.0 + rho) / 2.0
+    move = (1.0 - rho) / 2.0
+    total = 0.0
+    remaining = sample_count
+    chunk = 0
+    while remaining > 0:
+        block = min(chunk_size, remaining)
+        remaining -= block
+        rng = np.random.Generator(np.random.Philox(key=[seed, (3 << 32) | chunk]))
+        chunk += 1
+        ones = rng.binomial(n, 0.5, size=block)
+        partner_ones = rng.binomial(ones, stay) + rng.binomial(n - ones, move)
+        total += float(((ones > n / 2) == (partner_ones > n / 2)).sum())
+    mean = total / sample_count
+    var = mean * (1.0 - mean) * sample_count / max(sample_count - 1, 1)
+    return mean, math.sqrt(var / sample_count)

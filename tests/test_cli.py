@@ -73,6 +73,21 @@ class TestBasicCommands:
         summary = json.loads((tmp_path / "clt-crosscheck_summary.json").read_text())
         assert summary["results"]["gaussian"] == pytest.approx(2.0 / 3.0)
 
+    def test_clt_crosscheck_ignores_sampling_flags(self, tmp_path):
+        reports = []
+        for sub, flags in (("a", ["--samples", "1e4", "--seed", "1"]),
+                           ("b", ["--samples", "3e6", "--seed", "99", "--chunk", "50000"])):
+            assert main(["clt-crosscheck", "--rho", "0.5", "--n", "1001", *flags,
+                         "--out-dir", str(tmp_path / sub)]) == 0
+            reports.append(read_report(tmp_path / sub, "clt-crosscheck"))
+        (first, files_a), (second, files_b) = reports
+        # The summaries echo their specs; everything else is identical.
+        assert first["spec"] != second["spec"]
+        assert (first["results"], first["stderr"]) == (second["results"], second["stderr"])
+        assert first["results"]["discrete"] == 0.6667585089331979
+        assert first["stderr"] == {"discrete": 0.0}
+        assert files_a["clt-crosscheck_crosscheck.csv"] == files_b["clt-crosscheck_crosscheck.csv"]
+
     def test_penalty_and_noise_stability(self, tmp_path):
         assert main(["penalty", "--partition", "propeller3", "--samples", "200000",
                      "--seed", "5", "--out-dir", str(tmp_path), "--tag", "pen"]) == 0
@@ -113,6 +128,13 @@ class TestErrorPaths:
         out = tmp_path / "out"
         code = main(["discrete", "stability", "--m", "4", "--n", "13", "--rho", "0.1",
                      "--function", "plurality", "--out-dir", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_clt_capacity_error_exits_3(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["clt-crosscheck", "--rho", "0.5", "--n", "3163", "--samples", "1e4",
+                     "--seed", "1", "--out-dir", str(out)])
         assert code == 3
         assert not out.exists()
 

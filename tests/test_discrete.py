@@ -17,6 +17,7 @@ from gauss_bubbles import (
     influences,
     plurality_function,
 )
+from gauss_bubbles import discrete
 
 import oracles
 
@@ -77,13 +78,6 @@ class TestNoiseKernel:
         with pytest.raises(DomainError):
             NoiseKernel(m=2, rho=1.1)
 
-    def test_alt_stay_convention_refused_when_unnormalized(self):
-        with pytest.raises(DomainError):
-            NoiseKernel(m=3, rho=0.5, alt_stay_convention=True)
-        # at rho = 0 both conventions coincide and the row is stochastic
-        kernel = NoiseKernel(m=3, rho=0.0, alt_stay_convention=True)
-        assert kernel.stay == pytest.approx(1.0 / 3.0)
-
     @given(st.integers(2, 6), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_rows_stochastic_property(self, m, rho):
@@ -114,6 +108,41 @@ class TestApplyNoiseKernel:
         g = rng.random((3, 3, 3))
         out = apply_noise_kernel(g, 0.42)
         assert out.mean() == pytest.approx(g.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 7), (3, 5), (4, 4), (5, 3), (9, 2)])
+    def test_matches_matrix_product_oracle(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        g = rng.random((m,) * n)
+        for rho in (-1.0 / (m - 1), -0.3, 0.0, 0.42, 1.0):
+            if rho < -1.0 / (m - 1):
+                continue
+            kernel = NoiseKernel(m=m, rho=rho)
+            want = oracles.noise_kernel_matmul(g, kernel.matrix)
+            assert np.max(np.abs(apply_noise_kernel(g, rho) - want)) <= 1e-14
+            # an explicit kernel overrides rho
+            got = apply_noise_kernel(g, 0.9, kernel=kernel)
+            assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_leaves_input_unchanged(self):
+        g = np.random.default_rng(3).random((3, 3, 3, 3))
+        before = g.copy()
+        apply_noise_kernel(g, 0.3)
+        assert np.array_equal(g, before)
+
+    def test_accepts_read_only_coordinate_views(self):
+        f = plurality_function(3, 4)
+        for j in range(3):
+            fj = f.coordinate(j)
+            assert not fj.flags.writeable
+            before = fj.copy()
+            out = apply_noise_kernel(fj, 0.6)
+            assert np.array_equal(fj, before)
+            want = oracles.noise_kernel_matmul(before, NoiseKernel(m=3, rho=0.6).matrix)
+            assert np.max(np.abs(out - want)) <= 1e-14
+
+    def test_kernel_on_another_alphabet_rejected(self):
+        with pytest.raises(ContractViolationError):
+            apply_noise_kernel(np.zeros((3, 3)), 0.5, kernel=NoiseKernel(m=2, rho=0.5))
 
 
 class TestDiscreteStability:
@@ -210,6 +239,15 @@ class TestPlurality:
         with pytest.raises(DomainError):
             plurality_function(3, 0)
 
+    def test_matches_word_matrix_oracle(self):
+        # every (m, n) with m^n <= 1e5 and m <= 10; larger m at n = 1 would
+        # be an m x m table of over 10^10 entries
+        cases = [(m, n) for m in range(2, 11) for n in range(1, 17) if m**n <= 10**5]
+        assert (2, 16) in cases and (3, 10) in cases and (10, 5) in cases
+        for m, n in cases:
+            assert np.array_equal(plurality_function(m, n).values,
+                                  oracles.plurality_table(m, n)), (m, n)
+
     @given(st.integers(2, 4), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_rows_live_on_simplex(self, m, n):
@@ -272,3 +310,42 @@ class TestCltCrosscheck:
                                    chunk_size=50_000, antithetic=True)
         with pytest.raises(ConfigError):
             clt_crosscheck(0.5, 101, config)
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    @pytest.mark.parametrize("rho", [-0.5, 0.2, 0.5, 0.9])
+    def test_matches_pair_sampler(self, rho, n):
+        mean, stderr = oracles.majority_pair_sampler(rho, n, 400_000, seed=17,
+                                                     chunk_size=100_000)
+        result = clt_crosscheck(rho, n, self.cfg())
+        assert result.discrete_stderr == 0.0
+        assert abs(result.discrete - mean) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7])
+    def test_matches_enumeration(self, n):
+        for rho in (-0.7, 0.1, 0.6):
+            result = clt_crosscheck(rho, n, self.cfg())
+            want = oracles.majority_agreement_enumerated(rho, n)
+            assert abs(result.discrete - want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [101, 1001])
+    def test_matches_scipy_binomial_sum(self, n):
+        for rho in (-0.9, -0.3, 0.3, 0.8):
+            result = clt_crosscheck(rho, n, self.cfg())
+            assert abs(result.discrete - oracles.majority_agreement_binom(rho, n)) <= 1e-13
+
+    def test_endpoints_exact_and_values_in_unit_interval(self):
+        for n in (1, 3, 101, 1001):
+            assert clt_crosscheck(1.0, n, self.cfg()).discrete == 1.0
+            assert clt_crosscheck(-1.0, n, self.cfg()).discrete == 0.0
+            assert clt_crosscheck(0.0, n, self.cfg()).discrete == 0.5
+            for rho in np.linspace(-1.0, 1.0, 21):
+                assert 0.0 <= clt_crosscheck(float(rho), n, self.cfg()).discrete <= 1.0
+
+    def test_capacity_guard(self, monkeypatch):
+        with pytest.raises(CapacityError):
+            clt_crosscheck(0.5, 3163, self.cfg())  # (n+1)^2 > DEFAULT_CAPACITY
+        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 102**2 - 1)
+        with pytest.raises(CapacityError):
+            clt_crosscheck(0.5, 101, self.cfg())
+        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 102**2)
+        clt_crosscheck(0.5, 101, self.cfg())
