@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, exact
+from . import __version__
 from .discrete import (
     DiscreteFunction,
     clt_crosscheck,
@@ -39,7 +39,7 @@ from .errors import (
     GaussBubblesError,
     PrecisionError,
 )
-from .montecarlo import IntegrationConfig, mc_moments
+from .montecarlo import IntegrationConfig
 from .noise import noise_stability_partition
 from .optimize import (
     OptimizeConfig,
@@ -50,6 +50,7 @@ from .optimize import (
 from .partitions import (
     AffinePartition,
     calibrate_offsets_to_volumes,
+    cell_moments,
     half_space_pair,
     perturb,
     simplicial_cone_partition,
@@ -197,10 +198,7 @@ def _cmd_penalty(spec: dict):
     cfg = _integration_config(spec)
     w = _parse_floats(spec["w"]) if spec.get("w") else None
     # Exact for m <= 4: the sampling flags are validated above but unused.
-    if exact.supports(partition):
-        report = exact.moments(partition, w)
-    else:
-        report = mc_moments(partition, w, cfg)
+    report = cell_moments(partition, w, cfg)
     results = {
         "moment_functional": report.moment_functional,
         "penalty": report.penalty,

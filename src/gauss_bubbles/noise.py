@@ -29,12 +29,8 @@ from .errors import (
     PrecisionError,
     PreconditionError,
 )
-from .montecarlo import (
-    PAIR_SUBSTREAM,
-    IntegrationConfig,
-    mc_mean,
-    mc_moments,
-)
+from .montecarlo import PAIR_SUBSTREAM, IntegrationConfig, mc_mean
+from .partitions import cell_moments
 
 
 @dataclass(frozen=True)
@@ -218,10 +214,10 @@ def noise_stability_certificate(
     if not -1.0 < rho < 1.0:
         raise DomainError(f"correlation must satisfy |rho| < 1, got {rho}")
 
-    # The moment reports carry the volumes of the same stream, so they also
-    # settle the volume precondition.
-    mom_ref = mc_moments(reference, w, cfg)
-    mom_cand = mc_moments(candidate, w, cfg)
+    # The moment reports carry the volumes (exact for m <= 4, else of the
+    # same stream), so they also settle the volume precondition.
+    mom_ref = cell_moments(reference, w, cfg)
+    mom_cand = cell_moments(candidate, w, cfg)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
     if gap > vol_tol:
         raise PreconditionError(

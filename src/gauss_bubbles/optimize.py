@@ -6,11 +6,12 @@ i|^2, or minimize the penalized perimeter P + eps * sqrt(pi/2) * M. The
 search runs Nelder-Mead over the direction vectors (renormalized at every
 evaluation); volume constraints are enforced by calibrating the offsets
 inside each objective evaluation, so every evaluated point is feasible and
-objectives are comparable; for m <= 4 that calibration is exact. All Monte
-Carlo evaluations inside one search reuse a single seed (common random
-numbers): re-evaluating an iterate is bit-identical, and the search signal
-is not Monte Carlo noise. The stability certificate is exact and
-deterministic for m <= 4.
+objectives are comparable. Volumes, moments and perimeters come from
+``partitions.cell_moments`` and ``facet_perimeter``: exact for m <= 4, so
+the objective and the stability certificate are deterministic there. For
+m >= 5 all Monte Carlo evaluations inside one search reuse a single seed
+(common random numbers): re-evaluating an iterate is bit-identical, and the
+search signal is not Monte Carlo noise.
 """
 from __future__ import annotations
 
@@ -26,13 +27,12 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from . import exact
-from .montecarlo import IntegrationConfig, map_chunks, mc_moments
+from .montecarlo import IntegrationConfig, map_chunks
 from .partitions import (
     AffinePartition,
     align_rotation,
-    calibrate_exact,
     calibrate_offsets_to_volumes,
+    cell_moments,
     simplicial_cone_partition,
 )
 from .perimeter import facet_perimeter
@@ -50,7 +50,9 @@ class OptimizeConfig:
 
     ``d >= m - 1`` is required (the cone family needs that many independent
     directions). ``search_samples`` drives the inner objective evaluations;
-    the best iterate is re-evaluated and polished at ``final_samples``.
+    the best iterate is re-evaluated and polished at ``final_samples``. For
+    m <= 4 the objective is exact and ``final_samples`` only sets the
+    stream of the misalignment measurement.
     """
 
     m: int
@@ -88,8 +90,9 @@ class OptimizeConfig:
 
 
 def moment_objective(partition, w, cfg: IntegrationConfig) -> tuple[float, float]:
-    """The moment functional M of a partition (with standard error)."""
-    report = mc_moments(partition, w, cfg)
+    """The moment functional M of a partition (with its standard error, or
+    error bound 0 when exact)."""
+    report = cell_moments(partition, w, cfg)
     return report.moment_functional, report.moment_functional_stderr
 
 
@@ -104,6 +107,17 @@ class OptimizeResult:
     alignment_misalignment: float = math.nan
     alignment_rotation: np.ndarray | None = None
     evaluations: int = 0
+
+
+def _evaluate(partition, kind: str, eps: float, w, mc: IntegrationConfig):
+    """(M or P + eps * sqrt(pi/2) * M, its standard error, the moment report)."""
+    perim = None if kind == "moment" else facet_perimeter(partition, mc)
+    report = cell_moments(partition, w, mc, perim)
+    value, err = report.moment_functional, report.moment_functional_stderr
+    if perim is not None:
+        value = perim.total + eps * _PENALTY_FACTOR * value
+        err = math.sqrt(perim.total_stderr**2 + (eps * _PENALTY_FACTOR * err) ** 2)
+    return value, err, report
 
 
 class _Objective:
@@ -126,11 +140,8 @@ class _Objective:
         # noise floor; exact calibration (m <= 4) goes to 1e-12 regardless.
         self.tol = max(cfg.calibration_tol, 1.0 / math.sqrt(mc.sample_count))
 
-    def partition_for(self, params: np.ndarray) -> tuple[AffinePartition, float | None] | None:
-        """(calibrated partition, its exact calibration residual), or None
-        when infeasible. The residual is None for m >= 5, whose Monte Carlo
-        volumes ``value`` reads from its own moment report.
-        """
+    def partition_for(self, params: np.ndarray) -> AffinePartition | None:
+        """The calibrated partition, or None when infeasible."""
         directions = params.reshape(self.cfg.m, self.cfg.d).copy()
         norms = np.linalg.norm(directions, axis=1)
         if np.any(norms < 1e-8):
@@ -143,33 +154,20 @@ class _Objective:
             return None
         try:
             raw = AffinePartition(directions, self.warm_offsets, np.zeros(self.cfg.d))
-            if exact.supports(raw):
-                calibrated, residual = calibrate_exact(
-                    raw, self.cfg.targets, tol=self.tol, max_iters=25
-                )
-            else:
-                calibrated = calibrate_offsets_to_volumes(
-                    raw, self.cfg.targets, self.mc, tol=self.tol, max_iters=25
-                )
-                residual = None
+            calibrated = calibrate_offsets_to_volumes(
+                raw, self.cfg.targets, self.mc, tol=self.tol, max_iters=25
+            )
         except (CalibrationError, ContractViolationError):
             return None
         self.warm_offsets = calibrated.offsets.copy()
-        return calibrated, residual
+        return calibrated
 
-    def value(self, partition: AffinePartition, residual: float | None) -> tuple[float, float]:
-        """(objective, calibration residual max |volume - target|).
-
-        The objective is read from a moment report on the search stream. A
-        residual of None (m >= 5) is measured on that report's volumes.
-        """
-        report = mc_moments(partition, self.w, self.mc)
-        if residual is None:
-            residual = float(np.max(np.abs(report.volumes - self.cfg.targets)))
-        if self.kind == "moment":
-            return -report.moment_functional, residual
-        perim = facet_perimeter(partition, self.mc).total
-        return perim + self.eps * _PENALTY_FACTOR * report.moment_functional, residual
+    def value(self, partition: AffinePartition) -> tuple[float, float]:
+        """(objective, calibration residual max |volume - target|), both
+        read from one moment report on the search stream."""
+        value, _, report = _evaluate(partition, self.kind, self.eps, self.w, self.mc)
+        residual = float(np.max(np.abs(report.volumes - self.cfg.targets)))
+        return (-value if self.kind == "moment" else value), residual
 
     def __call__(self, params: np.ndarray) -> float:
         self.evaluations += 1
@@ -177,7 +175,7 @@ class _Objective:
         if calibrated is None:
             self.trace.append((self.evaluations, _INFEASIBLE, math.nan))
             return _INFEASIBLE
-        val, residual = self.value(*calibrated)
+        val, residual = self.value(calibrated)
         self.trace.append((self.evaluations, val, residual))
         return val
 
@@ -242,18 +240,11 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
         },
     )
     final_params = res.x if res.fun <= min(best_fun + 1e-3, _INFEASIBLE) else best_x
-    calibrated = polish.partition_for(final_params)
-    if calibrated is None:
+    partition = polish.partition_for(final_params)
+    if partition is None:
         raise CalibrationError("final iterate failed calibration", partition=None)
-    partition = calibrated[0]
 
-    if kind == "moment":
-        value, err = moment_objective(partition, w_vec, final_mc)
-    else:
-        report = facet_perimeter(partition, final_mc)
-        mom, mom_err = moment_objective(partition, w_vec, final_mc)
-        value = report.total + eps * _PENALTY_FACTOR * mom
-        err = math.sqrt(report.total_stderr**2 + (eps * _PENALTY_FACTOR * mom_err) ** 2)
+    value, err, _ = _evaluate(partition, kind, eps, w_vec, final_mc)
 
     result = OptimizeResult(
         partition=partition,
@@ -337,35 +328,27 @@ def stability_margin(
 
     Preconditions: matching m and d, and cell volumes equal within
     ``vol_tol`` (calibrate the candidate first). For m <= 4 the volumes, the
-    moment functionals (``exact.moments``) and the perimeters are exact, so
-    the certificate is deterministic: ``cfg`` is not sampled, the margin's
-    error is the quadrature of the evaluators' error bounds (0 for these),
-    and the verdict is the sign of the margin. For m >= 5 volumes and
-    moments are Monte Carlo estimates on ``cfg``'s stream.
+    moment functionals and the perimeters are exact, so the certificate is
+    deterministic: ``cfg`` is not sampled, the margin's error is the
+    quadrature of the evaluators' error bounds (0 for these), and the
+    verdict is the sign of the margin. For m >= 5 volumes and moments are
+    Monte Carlo estimates on ``cfg``'s stream.
     """
     if reference.m != candidate.m or reference.d != candidate.d:
         raise PreconditionError("reference and candidate must share m and d")
     if eps < 0:
         raise DomainError("eps must be nonnegative")
 
-    exact_path = exact.supports(reference)
-    if exact_path:
-        # The facet masses behind P also give the exact moment vectors.
-        per_ref = facet_perimeter(reference, cfg)
-        per_cand = facet_perimeter(candidate, cfg)
-        mom_ref = exact.moments(reference, w, per_ref)
-        mom_cand = exact.moments(candidate, w, per_cand)
-    else:
-        mom_ref = mc_moments(reference, w, cfg)
-        mom_cand = mc_moments(candidate, w, cfg)
+    # For m <= 4 the facet masses behind P also give the moment vectors.
+    per_ref = facet_perimeter(reference, cfg)
+    per_cand = facet_perimeter(candidate, cfg)
+    mom_ref = cell_moments(reference, w, cfg, per_ref)
+    mom_cand = cell_moments(candidate, w, cfg, per_cand)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
     if gap > vol_tol:
         raise PreconditionError(
             f"cell volumes differ by {gap:.4f} > vol_tol={vol_tol}; calibrate first"
         )
-    if not exact_path:
-        per_ref = facet_perimeter(reference, cfg)
-        per_cand = facet_perimeter(candidate, cfg)
 
     factor = eps * _PENALTY_FACTOR
     margin = (per_cand.total + factor * mom_cand.moment_functional) - (

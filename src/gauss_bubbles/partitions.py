@@ -8,7 +8,8 @@ enters through the offsets c_i = -<w, z_i>, which re-apexes the cones at w.
 
 Volume calibration solves for the offsets that give prescribed cell
 volumes: by Newton steps on exact volumes (``exact``) when m <= 4, and on
-Monte Carlo volumes of one fixed sample stream when m >= 5.
+Monte Carlo volumes of one fixed sample stream when m >= 5. ``cell_moments``
+picks the moment evaluator by the same rule.
 """
 from __future__ import annotations
 
@@ -26,7 +27,14 @@ from .errors import (
     DomainError,
 )
 from . import exact
-from .montecarlo import ALIGN_SUBSTREAM, IntegrationConfig, mc_mean, mc_volumes
+from .montecarlo import (
+    ALIGN_SUBSTREAM,
+    IntegrationConfig,
+    MomentReport,
+    mc_mean,
+    mc_moments,
+    mc_volumes,
+)
 
 # Most active-set projectors one PartitionCell may enumerate. 1023 admits
 # simplicial cones up to m=11; each further cell doubles the count, the
@@ -286,9 +294,22 @@ def calibrate_offsets_to_volumes(
     ``CalibrationError`` with the last iterate and its residual.
     """
     if exact.supports(partition):
-        return calibrate_exact(partition, targets, tol, max_iters, damping)[0]
+        return _calibrate_exact(partition, targets, tol, max_iters, damping)
     a = _check_targets(partition, targets)
     return _calibrate_mc(partition, a, cfg, tol, max_iters, damping)
+
+
+def cell_moments(partition, w, cfg: IntegrationConfig, report=None) -> MomentReport:
+    """Volumes, moment vectors and the moment functional of a partition.
+
+    Exact for m <= 4 (``exact.moments``, reusing the facet masses of
+    ``report``, the partition's ``facet_perimeter`` report, when given);
+    ``cfg`` is not sampled there. For m >= 5 a Monte Carlo estimate on
+    ``cfg``'s stream (``mc_moments``), and ``report`` is unused.
+    """
+    if exact.supports(partition):
+        return exact.moments(partition, w, report)
+    return mc_moments(partition, w, cfg)
 
 
 def _check_targets(partition: AffinePartition, targets) -> np.ndarray:
@@ -300,15 +321,15 @@ def _check_targets(partition: AffinePartition, targets) -> np.ndarray:
     return a
 
 
-def calibrate_exact(
+def _calibrate_exact(
     partition: AffinePartition,
     targets,
-    tol: float = 1e-3,
-    max_iters: int = 40,
-    damping: float = 0.5,
-) -> tuple[AffinePartition, float]:
-    """(calibrated partition, max |volume - target|) by damped Newton on
-    exact volumes, m <= 4; the residual is at most min(tol, 1e-12).
+    tol: float,
+    max_iters: int,
+    damping: float,
+) -> AffinePartition:
+    """Calibrate by damped Newton steps on exact volumes, m <= 4, to a
+    residual max |volume - target| of at most min(tol, 1e-12).
 
     The volume map is the gradient of the convex function
     E[max_i <X, z_i> + c_i], so its Jacobian is symmetric with the constant
@@ -353,7 +374,7 @@ def calibrate_exact(
             partition=current,
             residual=residual,
         )
-    return current, residual
+    return current
 
 
 def _centred(partition: AffinePartition, offsets: np.ndarray) -> AffinePartition:

@@ -48,6 +48,7 @@ import oracles
 PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))   # 0.598413...
 PROPELLER_MOMENT = 9.0 / (8.0 * math.pi)                        # 0.358099...
 GAMMA1_0 = 1.0 / math.sqrt(2.0 * math.pi)                       # 0.398942...
+CONES4_MOMENT = (12.0 / math.pi) * (0.25 + math.asin(1.0 / 3.0) / (2.0 * math.pi)) ** 2
 
 
 def report(num: int, ok: bool, detail: str):
@@ -191,6 +192,19 @@ def test_criterion_08_optimizer():
            f"m=3: M* {res.objective:.6f} (err {moment_err:.4%}), "
            f"aligned symdiff {res.alignment_misalignment:.4f}; "
            f"m=2: threshold {boundary:+.4f}, volume gap {vol_gap:.1e}")
+
+
+def test_criterion_08_four_cells():
+    # Criterion 08's bounds on the m = 4, d = 3 optimizer: the winner is the
+    # simplicial cone partition, whose M has a closed form.
+    cfg = OptimizeConfig(m=4, d=3, target_volumes=(0.25,) * 4, seed=7, restarts=2,
+                         max_iters=100, search_samples=50_000, final_samples=200_000,
+                         chunk_size=25_000)
+    res = optimize_propeller(cfg)
+    moment_err = abs(res.objective - CONES4_MOMENT) / CONES4_MOMENT
+    report(8, moment_err <= 0.01 and res.alignment_misalignment <= 0.02,
+           f"m=4: M* {res.objective:.6f} (err {moment_err:.4%}), "
+           f"aligned symdiff {res.alignment_misalignment:.4f}")
 
 
 def test_criterion_09_stability_margin_experiment():

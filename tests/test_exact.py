@@ -26,7 +26,6 @@ from gauss_bubbles.exact import (
     orthant_probability,
     trivariate_normal_cdf,
 )
-from gauss_bubbles.partitions import calibrate_exact
 
 import oracles
 
@@ -263,12 +262,13 @@ class TestExactCalibration:
         assert np.max(np.abs(cell_volumes(calibrated)[0] - targets)) <= 1e-12
 
     @pytest.mark.parametrize("m", [3, 4])
-    def test_reports_the_residual_it_reached(self, m):
+    def test_loose_tol_still_reaches_1e_12(self, m):
         targets = np.full(m, 1.0 / m)
         candidate = next(benchmark_candidates(m, 1, seed=20 + m))
-        calibrated, residual = calibrate_exact(candidate, targets)
-        assert residual == np.max(np.abs(cell_volumes(calibrated)[0] - targets))
-        assert residual <= 1e-12
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=m - 1, chunk_size=1)
+        calibrated = calibrate_offsets_to_volumes(candidate, targets, config, tol=0.1)
+        assert np.max(np.abs(cell_volumes(calibrated)[0] - targets)) <= 1e-12
+        assert abs(calibrated.offsets.sum()) <= 1e-12
 
 
 class TestExactCertificate:
@@ -283,8 +283,8 @@ class TestExactCertificate:
         monkeypatch.setattr(optimize, "facet_perimeter", counting)
         config = IntegrationConfig(sample_count=1, seed=0, dimension=m - 1, chunk_size=1)
         reference = simplicial_cone_partition(m)
-        candidate, _ = calibrate_exact(next(benchmark_candidates(m, 1, seed=30 + m)),
-                                       np.full(m, 1.0 / m))
+        candidate = calibrate_offsets_to_volumes(
+            next(benchmark_candidates(m, 1, seed=30 + m)), np.full(m, 1.0 / m), config)
         cert = stability_margin(reference, candidate, 1e-3, None, config)
         assert calls == [reference, candidate]
         assert cert.m_candidate == moments(candidate).moment_functional

@@ -23,6 +23,7 @@ from gauss_bubbles import (
     propeller_partition,
     simplicial_cone_partition,
 )
+from gauss_bubbles import exact
 from gauss_bubbles.montecarlo import PAIR_SUBSTREAM, mc_mean
 
 import oracles
@@ -250,11 +251,12 @@ def _count_mc_mean(monkeypatch):
 
 class TestCertificatePasses:
     def test_volumes_come_from_the_moment_reports(self, monkeypatch):
-        config = cfg(2, samples=500_000, seed=23)
-        reference = propeller_partition()
+        # cones5 keeps the certificate's moments on Monte Carlo.
+        config = cfg(4, samples=500_000, seed=23)
+        reference = simplicial_cone_partition(5)
         candidate = calibrate_offsets_to_volumes(
-            perturb(reference, 0.05, 2), (1 / 3, 1 / 3, 1 / 3), config)
-        w = np.array([0.05, -0.02])
+            perturb(reference, 0.05, 2), np.full(5, 0.2), config)
+        w = np.array([0.05, -0.02, 0.03, 0.01])
         rho, epsilon = 0.9, 1e-3
         # The certificate as it was formed with separate mc_volumes passes.
         mom_ref = mc_moments(reference, w, config)
@@ -282,3 +284,28 @@ class TestCertificatePasses:
         assert cert.margin_stderr == math.sqrt(rhs_err**2 + stab_cand.total_stderr**2)
         assert cert.moment_reference == mom_ref.moment_functional
         assert cert.moment_candidate == mom_cand.moment_functional
+
+    def test_exact_moments_for_three_cells(self, monkeypatch):
+        config = cfg(2, samples=500_000, seed=23)
+        reference = propeller_partition()
+        candidate = calibrate_offsets_to_volumes(
+            perturb(reference, 0.05, 2), (1 / 3, 1 / 3, 1 / 3), config)
+        w = np.array([0.05, -0.02])
+        rho, epsilon = 0.9, 1e-3
+        mom_ref = exact.moments(reference, w)
+        mom_cand = exact.moments(candidate, w)
+        assert mom_ref.moment_functional_stderr == mom_cand.moment_functional_stderr == 0.0
+        stab_ref = noise_stability_partition(reference, rho, config)
+        stab_cand = noise_stability_partition(candidate, rho, config)
+        rate = epsilon * math.sqrt(1.0 - rho * rho) * math.sqrt(math.pi / 2.0)
+
+        calls = _count_mc_mean(monkeypatch)
+        cert = noise_stability_certificate(reference, candidate, rho, epsilon, w, config)
+        # Only the two noise-stability passes sample.
+        assert len(calls) == 2
+        assert cert.moment_reference == mom_ref.moment_functional
+        assert cert.moment_candidate == mom_cand.moment_functional
+        assert cert.rhs_core == stab_ref.total - rate * (mom_ref.moment_functional
+                                                         - mom_cand.moment_functional)
+        assert cert.rhs_stderr == stab_ref.total_stderr
+        assert cert.lhs == stab_cand.total
