@@ -67,10 +67,13 @@ _U_FLOOR = 2.0**-54
 
 THREADS_ENV_VAR = "GAUSS_BUBBLES_THREADS"
 
-# Rows per integrand call. Small enough that the integrands' BLAS products
-# stay on the calling thread instead of spawning BLAS threads that compete
-# with the chunk pool for the same cores.
-_TILE_ROWS = 8192
+# Sample coordinates per integrand call. OpenBLAS starts its own threads,
+# which compete with the chunk pool for the same cores, once a
+# (rows x d) @ (d x m) product passes 2**19 multiply-adds (measured with
+# OpenBLAS on 2 cores: 43690 x 3 x 4 ran on one thread, 43691 x 3 x 4 on
+# two). Tiles of 2**16 coordinates keep the integrands' products serial
+# for m <= 8.
+_TILE_COORDINATES = 2**16
 
 # Marks the threads of a map_chunks pool, so nested calls run serially.
 _POOL_THREAD = threading.local()
@@ -152,6 +155,12 @@ def _mark_pool_thread():
     _POOL_THREAD.active = True
 
 
+def _tile_rows(dimension: int) -> int:
+    """Rows per integrand call: about ``_TILE_COORDINATES`` sample
+    coordinates, rounded down to an even row count."""
+    return max(2, _TILE_COORDINATES // dimension // 2 * 2)
+
+
 def _bit_generator(seed: int, substream: int, chunk: int) -> Philox:
     if not (0 <= substream <= _MAX_UINT32):
         raise ConfigError("substream id out of range")
@@ -202,10 +211,11 @@ def mc_mean(
     ``value_fn`` receives a block of samples with shape (n, dimension) and
     must return per-sample values of shape (n,) or (n, q). It must be
     row-wise: row k of its output depends only on row k of its input, because
-    each chunk is passed to it in row tiles of at most ``_TILE_ROWS`` rows.
-    The tiles are reassembled into the chunk's full value array, so results
-    do not depend on the tile size. Antithetic pairs are folded into single
-    observations before the moments are accumulated.
+    each chunk is passed to it in row tiles of at most ``_tile_rows(d)``
+    rows, about 2**16 sample coordinates. The tiles are reassembled into the
+    chunk's full value array, so results do not depend on the tile size.
+    Antithetic pairs are folded into single observations before the moments
+    are accumulated.
 
     With ``groups=k`` the reduction is grouped: ``value_fn`` returns
     ``(labels, values)``, where ``labels`` is an int per row in [0, k] (k
@@ -219,6 +229,7 @@ def mc_mean(
     """
     if groups is not None and groups < 1:
         raise ContractViolationError("groups must be a positive group count")
+    tile = _tile_rows(cfg.dimension)
 
     def work(chunk: int):
         if pair_rho is None:
@@ -227,8 +238,8 @@ def mc_mean(
             blocks = _pair_chunk(cfg, pair_rho, substream, chunk)
         rows = cfg.chunk_size
         labels = v = None
-        for start in range(0, rows, _TILE_ROWS):
-            stop = min(start + _TILE_ROWS, rows)
+        for start in range(0, rows, tile):
+            stop = min(start + tile, rows)
             out = value_fn(*(b[start:stop] for b in blocks))
             if groups is not None:
                 labels = _place(labels, start, stop, rows, np.asarray(out[0], dtype=np.intp))

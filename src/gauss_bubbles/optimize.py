@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     CalibrationError,
@@ -181,6 +180,8 @@ class _Objective:
 
 
 def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
+    from scipy.optimize import minimize
+
     search_mc = cfg.integration(cfg.search_samples)
     final_mc = cfg.integration(cfg.final_samples)
     w_vec = np.zeros(cfg.d) if w is None else np.asarray(w, dtype=float).reshape(-1)

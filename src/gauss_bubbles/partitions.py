@@ -40,6 +40,9 @@ from .montecarlo import (
 # simplicial cones up to m=11; each further cell doubles the count, the
 # build and the collar's projection work.
 _MAX_PROJECTORS = 1023
+# PartitionCell.distance accepts projections that break a constraint by up
+# to this much, so its distances are taken to that slightly larger cell.
+_FEASIBLE_TOL = 1e-9
 
 # Exact calibration always iterates to at least this residual: at equal
 # volumes a volume error moves the perimeter only at second order, but a
@@ -621,25 +624,29 @@ class PartitionCell:
         slack = pts @ self._a.T - self._b[None, :]
         best = np.where(_all_columns(slack >= -1e-12), 0.0, np.inf)
         # The loop accepts projections that violate a constraint by up to
-        # feasible_tol, so the bound is taken against that relaxed cell, and
-        # the margin on limit keeps rounding from dropping a row whose
-        # computed distance reads below limit.
-        feasible_tol = 1e-9
-        lower = (-feasible_tol - slack[:, 0]) / self._a_norm[0]
+        # _FEASIBLE_TOL, so the bound is taken against that relaxed cell.
+        lower = (-_FEASIBLE_TOL - slack[:, 0]) / self._a_norm[0]
         for k in range(1, slack.shape[1]):
-            np.maximum(lower, (-feasible_tol - slack[:, k]) / self._a_norm[k], out=lower)
-        todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
+            np.maximum(lower, (-_FEASIBLE_TOL - slack[:, k]) / self._a_norm[k], out=lower)
+        todo = np.flatnonzero((best > 0.0) & (lower < _relaxed_limit(limit)))
         near = pts[todo]
         near_best = np.full(todo.size, np.inf)
         for subset, sub, gram_inv in self._projectors:
             viol = near @ sub.T - self._b[subset][None, :]
             proj = near - (viol @ gram_inv) @ sub
-            feasible = _all_columns(proj @ self._a.T - self._b[None, :] >= -feasible_tol)
+            feasible = _all_columns(proj @ self._a.T - self._b[None, :] >= -_FEASIBLE_TOL)
             dist = np.linalg.norm(near - proj, axis=1)
             better = feasible & (dist < near_best)
             near_best = np.where(better, dist, near_best)
         best[todo] = near_best
         return best
+
+
+def _relaxed_limit(limit: float) -> float:
+    """The bound below which ``PartitionCell.distance`` projects a row: a
+    margin on ``limit`` keeps rounding from dropping a row whose computed
+    distance reads below ``limit``."""
+    return limit * (1.0 + 1e-9) + 1e-12
 
 
 def _all_columns(flags: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.special import ndtr
 
 from .errors import (
@@ -42,7 +41,13 @@ from .montecarlo import (
     mc_mean,
 )
 from .exact import _SAME_DIRECTION_TOL, bivariate_normal_cdf as _bivariate_normal_cdf
-from .partitions import AffinePartition, RoundCylinder
+from .partitions import (
+    _FEASIBLE_TOL,
+    AffinePartition,
+    PartitionCell,
+    RoundCylinder,
+    _relaxed_limit,
+)
 from .special import chi_square_cdf, sphere_surface_measure
 
 # Band on the top-two score gap when testing joint-argmax membership;
@@ -51,6 +56,10 @@ _JOINT_ARGMAX_TOL = 1e-12
 # A third cell whose constraint gradient has an in-plane part below this
 # norm is parallel to the facet: its condition is constant on the plane.
 _PARALLEL_TOL = 1e-15
+# Bound, relative to the scale of the scores, on the rounding difference
+# between a score gap s_l - s_i and the slack PartitionCell.distance computes
+# for the same constraint: far above the few ulps each of them carries.
+_SCORE_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +114,9 @@ def interface_facets(partition: AffinePartition) -> list[InterfaceFacet]:
 
 def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     """Orthonormal basis (d, d-1) of the hyperplane orthogonal to ``normal``."""
-    basis = null_space(normal[None, :])
-    return basis
+    from scipy.linalg import null_space
+
+    return null_space(normal[None, :])
 
 
 def _facet_membership_fraction(
@@ -330,37 +340,17 @@ def minkowski_partition_perimeter(
 ) -> MinkowskiReport:
     """Collar estimate of the total partition perimeter.
 
-    Every cell's collar is measured on one sample stream: each row is
-    classified once, and its distance to each cell it lies outside is
-    computed exactly up to the largest epsilon. The table keeps a row per
-    (cell, epsilon). The total is fitted from the per-row sum of the cell
-    collars, halved because each interface is the boundary of exactly two
-    cells; because that sum is formed per row, its standard error includes
-    the correlation between cells that share the stream.
+    Every cell's collar is measured on one sample stream
+    (``_partition_collar_integrand``). The table keeps a row per (cell,
+    epsilon). The total is fitted from the per-row sum of the cell collars,
+    halved because each interface is the boundary of exactly two cells;
+    because that sum is formed per row, its standard error includes the
+    correlation between cells that share the stream.
     """
-    from .partitions import PartitionCell
-
     eps = _check_schedule(eps_schedule)
     eps_arr = np.array(eps)
     m, k = partition.m, len(eps)
-    cells = [PartitionCell(partition, i) for i in range(m)]
-
-    def values(x):
-        label = partition.classify_points(x)
-        out = np.zeros((x.shape[0], m + 1, k))
-        total = out[:, m]
-        for i, cell in enumerate(cells):
-            outside = np.flatnonzero(label != i)
-            dist = cell.distance(x[outside], limit=eps[0])
-            # Only rows inside the widest collar are nonzero; eps[0] is the
-            # largest epsilon.
-            near = dist < eps[0]
-            out[outside[near], i] = (dist[near, None] < eps_arr[None, :]) / eps_arr[None, :]
-            # Cell by cell, in order: with the >= 3 epsilons of a schedule
-            # that is how out[:, :m].sum(axis=1) adds, bit for bit.
-            total += out[:, i]
-        return out.reshape(x.shape[0], (m + 1) * k)
-
+    values = _partition_collar_integrand(partition, eps_arr)
     res = mc_mean(cfg, values, substream=COLLAR_SUBSTREAM)
     mean = res.mean.reshape(m + 1, k)
     err = res.stderr.reshape(m + 1, k)
@@ -371,6 +361,55 @@ def minkowski_partition_perimeter(
     return MinkowskiReport(
         estimate=0.5 * intercept, stderr=0.5 * intercept_err, table=table, slope=0.5 * slope
     )
+
+
+def _partition_collar_integrand(partition: AffinePartition, eps: np.ndarray):
+    """Row-wise collar values of every cell, then their sum: (m + 1) * k columns.
+
+    A row in cell l lies outside every other cell i and breaks its
+    constraint s_i >= s_l by the score gap s_l - s_i, so its distance to
+    cell i is at least (s_l - s_i) / |z_i - z_l|. The rows are filtered on
+    that bound, relaxed as ``PartitionCell.distance`` relaxes its own (by
+    ``_FEASIBLE_TOL`` and ``_relaxed_limit``) and by ``_SCORE_ROUNDING``:
+    only rows it cannot place beyond the widest collar, eps[0], get an exact
+    distance, and only rows inside that collar are written. Every other row
+    reads exact zeros, as it would had every distance been computed.
+    """
+    m, k = partition.m, eps.size
+    cells = [PartitionCell(partition, i) for i in range(m)]
+    z, c = partition.directions, partition.offsets
+    limit = float(eps[0])
+    # reach[l, i]: the largest gap s_l - s_i at which a row of cell l can be
+    # within limit of cell i. Equal directions drop the constraint, so those
+    # rows are always kept; a row is never outside its own cell.
+    norms = np.linalg.norm(z[None, :, :] - z[:, None, :], axis=2)
+    reach = np.where(norms > 0.0, _relaxed_limit(limit) * norms + _FEASIBLE_TOL, np.inf)
+    np.fill_diagonal(reach, -np.inf)
+    # |<x, z_j>| + |c_j| <= max|x| * z_scale + c_max, the scale of the rounding.
+    z_scale, c_max = partition.d * float(np.abs(z).max()), float(np.abs(c).max())
+
+    def values(x):
+        n = x.shape[0]
+        scores = partition.scores(x)
+        label = np.argmax(scores, axis=1)  # the tie rule of classify_points
+        gaps = np.take_along_axis(scores, label[:, None], axis=1) - scores
+        allowance = _SCORE_ROUNDING * (1.0 + float(np.abs(x).max()) * z_scale + c_max)
+        candidate = (gaps < (reach + allowance)[label]).T
+        out = np.zeros((n, m + 1, k))
+        total = out[:, m]
+        for i, cell in enumerate(cells):
+            rows = np.flatnonzero(candidate[i])
+            dist = cell.distance(x[rows], limit=limit)
+            near = dist < limit
+            rows = rows[near]
+            collar = (dist[near, None] < eps[None, :]) / eps[None, :]
+            out[rows, i] = collar
+            # Cell by cell, in order, as out[:, :m].sum(axis=1) adds with the
+            # >= 3 epsilons of a schedule; the rows left out would add 0.
+            total[rows] += collar
+        return out.reshape(n, (m + 1) * k)
+
+    return values
 
 
 def cylinder_closed_forms(cylinder: RoundCylinder) -> tuple[float, float]:

@@ -280,3 +280,31 @@ def majority_pair_sampler(rho: float, n: int, sample_count: int, seed: int,
     mean = total / sample_count
     var = mean * (1.0 - mean) * sample_count / max(sample_count - 1, 1)
     return mean, math.sqrt(var / sample_count)
+
+
+def unfiltered_collar_integrand(partition, eps):
+    """The partition collar integrand without a row filter, (m + 1) * k columns.
+
+    Every row is classified, and its distance to every cell it lies outside
+    is computed (exact up to the widest epsilon, eps[0]); the last column
+    block is the per-row sum of the cell collars, added cell by cell.
+    """
+    from gauss_bubbles.partitions import PartitionCell
+
+    eps = np.asarray(eps, dtype=float)
+    m, k = partition.m, eps.size
+    cells = [PartitionCell(partition, i) for i in range(m)]
+
+    def values(x):
+        label = partition.classify_points(x)
+        out = np.zeros((x.shape[0], m + 1, k))
+        total = out[:, m]
+        for i, cell in enumerate(cells):
+            outside = np.flatnonzero(label != i)
+            dist = cell.distance(x[outside], limit=eps[0])
+            near = dist < eps[0]
+            out[outside[near], i] = (dist[near, None] < eps[None, :]) / eps[None, :]
+            total += out[:, i]
+        return out.reshape(x.shape[0], (m + 1) * k)
+
+    return values

@@ -36,6 +36,20 @@ def run_cli(args, cwd: Path, env_extra=None):
     )
 
 
+def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded(tmp_path):
+    # Only the optimizer, rotation alignment and sampled facets need them,
+    # so they are imported where those run, not on every CLI start.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
+    code = ("import sys, gauss_bubbles.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestBasicCommands:
     def test_perimeter_propeller(self, tmp_path):
         code = main(["perimeter", "--partition", "propeller3", "--samples", "200000",

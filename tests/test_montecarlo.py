@@ -25,9 +25,9 @@ from gauss_bubbles import (
     simplicial_cone_partition,
 )
 from gauss_bubbles.montecarlo import (
-    _TILE_ROWS,
     MAIN_SUBSTREAM,
     PAIR_SUBSTREAM,
+    _tile_rows,
     map_chunks,
     mc_mean,
 )
@@ -330,8 +330,10 @@ class TestMeanMachinery:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
 
-# Chunks of three whole tiles plus a partial one (even, for antithetic pairs).
-TILED_CHUNK = 3 * _TILE_ROWS + 1000
+# Chunks of three whole d = 3 tiles plus a partial one (even, for antithetic
+# pairs).
+TILE_ROWS = _tile_rows(3)
+TILED_CHUNK = 3 * TILE_ROWS + 1000
 CONES4 = perturb(simplicial_cone_partition(4), 0.1, 11)
 
 
@@ -376,6 +378,16 @@ def whole_chunk_mean(cfg, value_fn, blocks):
 
 
 class TestRowTiles:
+    def test_tiles_hold_about_2_16_coordinates_in_even_rows(self):
+        assert [_tile_rows(d) for d in (2, 3, 4)] == [32768, 21844, 16384]
+        assert TILED_CHUNK % 2 == 0
+        for d in range(1, 7):
+            rows = _tile_rows(d)
+            assert rows % 2 == 0
+            # Scores of an m = d + 1 partition stay below the 2**19
+            # multiply-adds at which OpenBLAS starts its own threads.
+            assert rows * d * (d + 1) < 2**19
+
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("pairs", [False, True])
     def test_integrand_never_sees_more_than_a_tile(self, pairs, antithetic):
@@ -388,7 +400,7 @@ class TestRowTiles:
             return np.ones(blocks[0].shape[0])
 
         res = mc_mean(cfg, record, pair_rho=0.5 if pairs else None)
-        assert max(seen) == _TILE_ROWS
+        assert max(seen) == TILE_ROWS
         assert sum(seen) == cfg.sample_count
         assert len(seen) == 2 * 4  # three whole tiles and one partial per chunk
         assert np.array_equal(res.mean, [1.0])

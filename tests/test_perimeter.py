@@ -27,6 +27,7 @@ from gauss_bubbles import (
     tail_perimeter_check,
 )
 from gauss_bubbles import perimeter
+from gauss_bubbles.montecarlo import COLLAR_SUBSTREAM, mc_mean
 from gauss_bubbles.perimeter import _bivariate_normal_cdf, facet_mass
 from gauss_bubbles.special import chi_square_cdf, regularized_gamma_p, sphere_surface_measure
 
@@ -282,7 +283,80 @@ class TestPlanarFacets:
         assert want.total_stderr == 0.0
 
 
+def planar_six_cells():
+    """m = 6 > d + 1 cells in the plane, slightly irregular."""
+    angles = np.arange(6) * np.pi / 3 + np.array([0.0, 0.05, -0.03, 0.02, 0.04, -0.01])
+    return AffinePartition(np.c_[np.cos(angles), np.sin(angles)],
+                           np.array([0.0, 0.1, -0.05, 0.02, 0.0, 0.03]), np.zeros(2))
+
+
+def nearly_parallel_cells():
+    """Cells 0 and 1 with |z_0 - z_1| = 3e-6, and an empty cell 2 whose
+    direction lies halfway between theirs.
+
+    Cell 0's constraint against cell 2 is parallel to the one against cell
+    1 and lies 2.5e-4 outside it, inside the band of width 1e-9 / 3e-6 that
+    the distance's feasibility tolerance admits. So rows of cell 1 read a
+    distance to cell 0 2.5e-4 below their true one, and the row filter must
+    keep them. (Gradients of norm 1e-6 or less get no projector at all.)
+    """
+    t2 = -2.5e-4
+    z = np.array([[1.0, 0.0], [1.0 - 3e-6, 0.0], [1.0 - 1.5e-6, 0.0], [0.0, 1.0]])
+    c = np.array([0.0, 0.0, 1.5e-6 * t2, -1.0])
+    return AffinePartition(z, c, np.zeros(2))
+
+
+# Cell 2 is empty: functional 2 never beats functional 0, whose direction it
+# shares at a lower offset.
+EMPTY_CELL = AffinePartition(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]),
+                             np.array([0.0, 0.0, -1.0]), np.zeros(2))
+FILTERED_COLLAR_PARTITIONS = {
+    "perturbed-cones4": perturb(simplicial_cone_partition(4), 0.1, 3),
+    "perturbed-cones5": perturb(simplicial_cone_partition(5), 0.1, 4),
+    "planar-six": planar_six_cells(),
+    "empty-cell": EMPTY_CELL,
+    "nearly-parallel": nearly_parallel_cells(),
+}
+
+
 class TestMinkowski:
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(FILTERED_COLLAR_PARTITIONS))
+    def test_row_filter_matches_unfiltered_collar_bit_for_bit(self, name, antithetic):
+        part = FILTERED_COLLAR_PARTITIONS[name]
+        schedule = np.array([0.1, 0.05, 0.025])
+        config = IntegrationConfig(sample_count=200_000, seed=29, dimension=part.d,
+                                   chunk_size=100_000, antithetic=antithetic)
+        got = mc_mean(config, perimeter._partition_collar_integrand(part, schedule),
+                      substream=COLLAR_SUBSTREAM)
+        want = mc_mean(config, oracles.unfiltered_collar_integrand(part, schedule),
+                       substream=COLLAR_SUBSTREAM)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.stderr, want.stderr)
+        assert np.any(got.mean > 0.0)
+
+    @pytest.mark.parametrize("part", [propeller_partition(), simplicial_cone_partition(4)],
+                             ids=["propeller3", "cones4"])
+    def test_rows_at_the_collar_edge_match_the_unfiltered_integrand(self, part):
+        # Points of cell j at distance eps[0] -/+ 1e-12 from the middle of
+        # facet (i, j): p = (z_i + z_j) / |z_i + z_j| lies on the facet of a
+        # regular simplex's cones, and the facet normal points into cell j.
+        schedule = np.array([0.1, 0.05, 0.025])
+        points, expected = [], []
+        for facet in interface_facets(part):
+            z = part.directions
+            p = (z[facet.i] + z[facet.j]) / np.linalg.norm(z[facet.i] + z[facet.j])
+            for step, near in ((0.1 - 1e-12, True), (0.1 + 1e-12, False)):
+                points.append(p + step * facet.normal)
+                expected.append((facet.i, near))
+        x = np.array(points)
+        got = perimeter._partition_collar_integrand(part, schedule)(x)
+        want = oracles.unfiltered_collar_integrand(part, schedule)(x)
+        assert np.array_equal(got, want)
+        widest = got.reshape(x.shape[0], part.m + 1, 3)[:, :, 0]
+        for row, (cell, near) in enumerate(expected):
+            assert widest[row, cell] == (10.0 if near else 0.0)
+
     @pytest.mark.parametrize("antithetic", [False, True])
     def test_pruned_collar_is_bit_identical_to_exact_distances(self, antithetic, monkeypatch):
         part = perturb(simplicial_cone_partition(4), 0.1, 3)
