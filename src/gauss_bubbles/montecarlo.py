@@ -23,7 +23,10 @@ Conventions used throughout the package:
 * Reported standard errors are sample standard deviation / sqrt(N), where N
   counts observations (antithetic pairs count as one observation).
 * A partition object only needs ``m``, ``d`` and ``classify_points(X)``;
-  this module does not depend on any concrete partition type.
+  this module does not depend on any concrete partition type. Every row it
+  passes to ``classify_points`` is finite: uniforms are floored at 2**-54
+  before ``ndtri``. Affine partitions label rows from cell-major scores (see
+  ``partitions``), which needs finite rows.
 """
 from __future__ import annotations
 
@@ -68,10 +71,12 @@ _U_FLOOR = 2.0**-54
 THREADS_ENV_VAR = "GAUSS_BUBBLES_THREADS"
 
 # Sample coordinates per integrand call. OpenBLAS starts its own threads,
-# which compete with the chunk pool for the same cores, once a
-# (rows x d) @ (d x m) product passes 2**19 multiply-adds (measured with
-# OpenBLAS on 2 cores: 43690 x 3 x 4 ran on one thread, 43691 x 3 x 4 on
-# two). Tiles of 2**16 coordinates keep the integrands' products serial
+# which compete with the chunk pool for the same cores, once a product of a
+# tile's rows with the m directions passes 2**19 multiply-adds. Measured
+# with OpenBLAS 0.3.31 on 2 cores, for the (rows x d) @ (d x m) product and
+# for the cell-major (m x d) @ (d x rows) one that labels points alike:
+# 43690 x 3 x 4 ran on the calling thread, 43691 x 3 x 4 on two. Tiles of
+# 2**16 coordinates keep the integrands' products on the calling thread
 # for m <= 8.
 _TILE_COORDINATES = 2**16
 
@@ -176,17 +181,29 @@ def _uniform_chunk(cfg: IntegrationConfig, substream: int, chunk: int, columns: 
 def _normal_chunk(cfg: IntegrationConfig, substream: int, chunk: int, columns: int):
     """One chunk of standard normal rows; reflected pairs when antithetic."""
     if cfg.antithetic:
-        half = ndtri(_uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size // 2))
+        u = _uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size // 2)
+        half = ndtri(u, out=u)
         return np.concatenate([half, -half], axis=0)
-    return ndtri(_uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size))
+    u = _uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size)
+    return ndtri(u, out=u)
 
 
 def _pair_chunk(cfg: IntegrationConfig, rho: float, substream: int, chunk: int):
-    """One chunk of rho-correlated pairs (X, Y), Y = rho*X + sqrt(1-rho^2)*Z."""
+    """One chunk of rho-correlated pairs (X, Y), Y = rho*X + sqrt(1-rho^2)*Z.
+
+    Y is formed in place over Z, in the chunk's second d columns; X and Y
+    are views of that one array.
+    """
     d = cfg.dimension
     g = _normal_chunk(cfg, substream, chunk, 2 * d)
-    x = g[:, :d]
-    y = rho * x + math.sqrt(1.0 - rho * rho) * g[:, d:]
+    x, y = g[:, :d], g[:, d:]
+    scale = math.sqrt(1.0 - rho * rho)
+    # Column by column: numpy updates the strided (rows, d) block in place
+    # with an inner loop d long, which runs nearly twice as slowly.
+    for k in range(d):
+        column = y[:, k]
+        column *= scale
+        column += rho * x[:, k]
     return x, y
 
 

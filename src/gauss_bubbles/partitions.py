@@ -5,6 +5,9 @@ An affine partition assigns a point x to the cell whose affine functional
 <x, z_i> + c_i is largest, ties broken to the lowest index. Simplicial-cone
 partitions use the vertices of a regular simplex as directions; the shift w
 enters through the offsets c_i = -<w, z_i>, which re-apexes the cones at w.
+Points are labelled from cell-major scores, one contiguous row of n scores
+per cell, by a pairwise tournament over those m rows; it gives
+``np.argmax(scores(points), axis=1)`` to the bit on finite points.
 
 Volume calibration solves for the offsets that give prescribed cell
 volumes: by Newton steps on exact volumes (``exact``) when m <= 4, and on
@@ -43,6 +46,16 @@ _MAX_PROJECTORS = 1023
 # PartitionCell.distance accepts projections that break a constraint by up
 # to this much, so its distances are taken to that slightly larger cell.
 _FEASIBLE_TOL = 1e-9
+# An active set gets a projector when the Gram matrix of its unit-length
+# constraint rows has numerical rank equal to its size at this tolerance.
+_RANK_TOL = 1e-12
+# PartitionCell.distance projects a row by every active set at once, in
+# batches of at most this many projected coordinates (projectors x rows x d),
+# which bounds its temporaries when m is large.
+_PROJECTED_COORDINATES = 2**18
+# numpy adds the squares of fewer than 8 coordinates in order, so a fold over
+# the coordinates gives np.linalg.norm's bits; from 8 on it sums pairwise.
+_FOLDED_NORM_MAX_D = 7
 
 # Exact calibration always iterates to at least this residual: at equal
 # volumes a volume error moves the perimeter only at second order, but a
@@ -135,12 +148,29 @@ class AffinePartition:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ self.directions.T + self.offsets[None, :]
 
+    def _cell_scores(self, points: np.ndarray) -> np.ndarray:
+        """``scores(points).T`` to the bit, as an (m, n) array: one
+        contiguous row of scores per cell."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        out = self.directions @ pts.T
+        out += self.offsets[:, None]
+        return out
+
     def classify_points(self, points: np.ndarray) -> np.ndarray:
-        """Cell index per row; argmax takes the lowest index on exact ties."""
-        return np.argmax(self.scores(points), axis=1)
+        """Cell index per row; exact ties go to the lowest index.
+
+        Rows must be finite. The labels are ``np.argmax(scores(points),
+        axis=1)`` to the bit on finite rows, but a NaN score never wins
+        here, where argmax would return the first NaN.
+        """
+        return _tournament(self._cell_scores(points))[1]
 
     def classify(self, point) -> int:
-        return int(self.classify_points(np.asarray(point, dtype=float)[None, :])[0])
+        """Cell index of one point; a non-finite point raises DomainError."""
+        point = np.asarray(point, dtype=float)
+        if not np.all(np.isfinite(point)):
+            raise DomainError("cannot classify a point with a non-finite coordinate")
+        return int(self.classify_points(point[None, :])[0])
 
     def with_offsets(self, offsets) -> "AffinePartition":
         return AffinePartition(self.directions.copy(), np.asarray(offsets, float), self.shift.copy())
@@ -203,6 +233,32 @@ class AffinePartition:
     @classmethod
     def from_json(cls, text: str) -> "AffinePartition":
         return cls.from_json_dict(json.loads(text))
+
+
+def _tournament(scores: np.ndarray):
+    """Largest entry of every column of an (m, n) array and its row index.
+
+    The m rows meet in adjacent pairs, round by round, so every comparison
+    reads whole contiguous rows. A strict ``>`` keeps the left entry on an
+    exact tie, and the left entry of a pair always holds the lower indices,
+    so ties go to the lowest index, as ``np.argmax(scores, axis=0)`` breaks
+    them. The largest entries are selected, not recomputed, so they equal the
+    winning entries up to the sign of a zero. Entries must be finite: a NaN
+    never wins a comparison.
+    """
+    entries = [(row, index) for index, row in enumerate(scores)]
+    while len(entries) > 1:
+        paired = []
+        for (left, left_label), (right, right_label) in zip(entries[0::2], entries[1::2]):
+            take = right > left
+            # left_label where not take, right_label where take: arithmetic
+            # runs several times faster than np.where on a random mask.
+            label = take * (right_label - left_label)
+            label += left_label
+            paired.append((np.maximum(left, right), label))
+        entries = paired + entries[len(paired) * 2:]
+    best, label = entries[0]
+    return best, np.asarray(label, dtype=np.intp)
 
 
 def simplicial_cone_partition(m: int, w=None) -> AffinePartition:
@@ -570,13 +626,19 @@ class PartitionCell:
         self._a, self._b = partition.cell_constraints(cell)
         self._a_norm = np.linalg.norm(self._a, axis=1)
         self._projectors = self._build_projectors()
+        self._projector_count = sum(subs.shape[0] for _, subs, _, _ in self._projectors)
 
     @property
     def d(self) -> int:
         return self.partition.d
 
     def _build_projectors(self):
-        a, _ = self._a, self._b
+        """Active-set projectors stacked by active-set size s, in subset
+        order: one (start, subs, rhs, gram_inv) per size, holding the rows,
+        right-hand sides and inverse Gram matrices of p subsets as arrays of
+        shape (p, s, d), (p, 1, s) and (p, s, s); ``start`` is the index of
+        the stack's first projector among all of them."""
+        a, b = self._a, self._b
         rows = a.shape[0]
         max_size = min(rows, self.d)
         # Every subset of at most d rows is a candidate active set, each with
@@ -587,17 +649,30 @@ class PartitionCell:
                 f"cell {self.cell} of an m={self.partition.m}, d={self.d} partition needs "
                 f"{count} active-set projectors, above the cap of {_MAX_PROJECTORS}"
             )
-        projectors = []
+        stacks, start = [], 0
         for size in range(1, max_size + 1):
+            subsets, subs, inverses = [], [], []
             for subset in itertools.combinations(range(rows), size):
                 sub = a[list(subset)]
                 gram = sub @ sub.T
                 # Skip rank-deficient subsets; their projections are covered
-                # by smaller subsets.
-                if np.linalg.matrix_rank(gram, tol=1e-12) < size:
+                # by smaller subsets. The rank is read from the Gram matrix
+                # of the unit rows: a row's length |z_i - z_j| can be tiny
+                # without the constraint being degenerate.
+                norms = self._a_norm[list(subset)]
+                if not np.all(norms > 0.0):
                     continue
-                projectors.append((np.array(subset), sub, np.linalg.inv(gram)))
-        return projectors
+                unit_gram = gram / np.outer(norms, norms)
+                if np.linalg.matrix_rank(unit_gram, tol=_RANK_TOL) < size:
+                    continue
+                subsets.append(subset)
+                subs.append(sub)
+                inverses.append(np.linalg.inv(gram))
+            if subsets:
+                rhs = b[np.array(subsets)][:, None, :]
+                stacks.append((start, np.stack(subs), rhs, np.stack(inverses)))
+                start += len(subsets)
+        return stacks
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -623,7 +698,7 @@ class PartitionCell:
         # several times more, and both give the same bits.
         slack = pts @ self._a.T - self._b[None, :]
         best = np.where(_all_columns(slack >= -1e-12), 0.0, np.inf)
-        # The loop accepts projections that violate a constraint by up to
+        # The projections accept points that violate a constraint by up to
         # _FEASIBLE_TOL, so the bound is taken against that relaxed cell.
         lower = (-_FEASIBLE_TOL - slack[:, 0]) / self._a_norm[0]
         for k in range(1, slack.shape[1]):
@@ -631,15 +706,44 @@ class PartitionCell:
         todo = np.flatnonzero((best > 0.0) & (lower < _relaxed_limit(limit)))
         near = pts[todo]
         near_best = np.full(todo.size, np.inf)
-        for subset, sub, gram_inv in self._projectors:
-            viol = near @ sub.T - self._b[subset][None, :]
-            proj = near - (viol @ gram_inv) @ sub
-            feasible = _all_columns(proj @ self._a.T - self._b[None, :] >= -_FEASIBLE_TOL)
-            dist = np.linalg.norm(near - proj, axis=1)
-            better = feasible & (dist < near_best)
-            near_best = np.where(better, dist, near_best)
+        step = max(1, _PROJECTED_COORDINATES // max(near.size, 1))
+        for lo in range(0, self._projector_count, step):
+            proj = self._project(near, lo, min(lo + step, self._projector_count))
+            feasible = self._feasible(proj)
+            dist = _row_norms(np.subtract(near, proj, out=proj))
+            np.minimum(near_best, np.where(feasible, dist, np.inf).min(axis=0), out=near_best)
         best[todo] = near_best
         return best
+
+    def _feasible(self, points: np.ndarray) -> np.ndarray:
+        """``np.all(points @ A.T - b >= -_FEASIBLE_TOL, axis=-1)``, one
+        constraint at a time: numpy would subtract b with an inner loop only
+        m - 1 long."""
+        products = points @ self._a.T
+        out = products[..., 0] - self._b[0] >= -_FEASIBLE_TOL
+        for k in range(1, products.shape[-1]):
+            out &= products[..., k] - self._b[k] >= -_FEASIBLE_TOL
+        return out
+
+    def _project(self, near: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows of ``near`` projected by projectors lo..hi-1, (hi - lo, n, d).
+
+        Each projector's matrix products run on their own (n, d), (n, s) and
+        (s, s) operands as stacked matmuls, so every row keeps the bits of
+        the products made one projector at a time. Folding the projectors
+        into one wider product would not: numpy uses a matrix-vector kernel
+        for s = 1, and zero padding changes the fused multiply-adds.
+        """
+        proj = np.empty((hi - lo, near.shape[0], self.d))
+        for start, subs, rhs, gram_inv in self._projectors:
+            first, last = max(lo, start), min(hi, start + subs.shape[0])
+            if first >= last:
+                continue
+            part = slice(first - start, last - start)
+            sub = subs[part]
+            viol = near @ sub.transpose(0, 2, 1) - rhs[part]
+            np.subtract(near, (viol @ gram_inv[part]) @ sub, out=proj[first - lo:last - lo])
+        return proj
 
 
 def _relaxed_limit(limit: float) -> float:
@@ -655,6 +759,19 @@ def _all_columns(flags: np.ndarray) -> np.ndarray:
     for k in range(1, flags.shape[1]):
         np.logical_and(out, flags[:, k], out=out)
     return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(v, axis=-1)``, to the bit; a fold over the last axis
+    when it is short enough that numpy adds its squares in order. The fold
+    overwrites ``v`` with its squares."""
+    if v.shape[-1] > _FOLDED_NORM_MAX_D:
+        return np.linalg.norm(v, axis=-1)
+    squares = np.multiply(v, v, out=v)
+    out = squares[..., 0].copy()
+    for k in range(1, v.shape[-1]):
+        out += squares[..., k]
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)

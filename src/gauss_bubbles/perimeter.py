@@ -47,6 +47,7 @@ from .partitions import (
     PartitionCell,
     RoundCylinder,
     _relaxed_limit,
+    _tournament,
 )
 from .special import chi_square_cdf, sphere_surface_measure
 
@@ -390,15 +391,17 @@ def _partition_collar_integrand(partition: AffinePartition, eps: np.ndarray):
 
     def values(x):
         n = x.shape[0]
-        scores = partition.scores(x)
-        label = np.argmax(scores, axis=1)  # the tie rule of classify_points
-        gaps = np.take_along_axis(scores, label[:, None], axis=1) - scores
+        # Cell-major, as classify_points labels: gaps[i] is s_l - s_i,
+        # formed over the scores, which are not needed after it.
+        scores = partition._cell_scores(x)
+        best, label = _tournament(scores)
+        gaps = np.subtract(best, scores, out=scores)
         allowance = _SCORE_ROUNDING * (1.0 + float(np.abs(x).max()) * z_scale + c_max)
-        candidate = (gaps < (reach + allowance)[label]).T
+        bound = (reach + allowance).T  # bound[i, l]: the largest gap kept, cell i, label l
         out = np.zeros((n, m + 1, k))
         total = out[:, m]
         for i, cell in enumerate(cells):
-            rows = np.flatnonzero(candidate[i])
+            rows = np.flatnonzero(gaps[i] < bound[i].take(label))
             dist = cell.distance(x[rows], limit=limit)
             near = dist < limit
             rows = rows[near]

@@ -282,12 +282,79 @@ def majority_pair_sampler(rho: float, n: int, sample_count: int, seed: int,
     return mean, math.sqrt(var / sample_count)
 
 
+def argmax_labels(partition, points):
+    """Cell index per row by argmax over the row-major scores; exact ties go
+    to the lowest index."""
+    return np.argmax(partition.scores(points), axis=1)
+
+
+def projector_loop_distance(cell, points, limit=math.inf):
+    """``PartitionCell.distance`` one active-set projector at a time, with
+    per-row reductions written as ``np.all(..., axis=1)`` and
+    ``np.max(..., axis=1)``: the reference for the stacked projections."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    a, b = cell._a, cell._b
+    if a.shape[0] == 0:
+        return np.zeros(pts.shape[0])
+    if np.any(np.isinf(b)):
+        return np.full(pts.shape[0], np.inf)
+    slack = pts @ a.T - b[None, :]
+    best = np.where(np.all(slack >= -1e-12, axis=1), 0.0, np.inf)
+    lower = np.max((-1e-9 - slack) / cell._a_norm[None, :], axis=1)
+    todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
+    near = pts[todo]
+    near_best = np.full(todo.size, np.inf)
+    for _, subs, rhs, inverses in cell._projectors:
+        for sub, sub_b, gram_inv in zip(subs, rhs[:, 0, :], inverses):
+            viol = near @ sub.T - sub_b[None, :]
+            proj = near - (viol @ gram_inv) @ sub
+            feasible = np.all(proj @ a.T - b[None, :] >= -1e-9, axis=1)
+            dist = np.linalg.norm(near - proj, axis=1)
+            near_best = np.where(feasible & (dist < near_best), dist, near_best)
+    best[todo] = near_best
+    return best
+
+
+def normal_chunk(cfg, substream, chunk, columns):
+    """One chunk of the package's normal sample stream, each step into a new
+    array: Philox uniforms floored at 2**-54, then ndtri."""
+    from scipy.special import ndtri
+
+    rows = cfg.chunk_size // 2 if cfg.antithetic else cfg.chunk_size
+    key = [cfg.seed, (substream << 32) | chunk]
+    u = np.random.Generator(np.random.Philox(key=key)).random((rows, columns))
+    z = ndtri(np.maximum(u, 2.0**-54))
+    return np.concatenate([z, -z], axis=0) if cfg.antithetic else z
+
+
+def pair_chunk(cfg, rho, substream, chunk):
+    """One chunk of the package's correlated pair stream,
+    Y = rho*X + sqrt(1-rho^2)*Z formed into a new array."""
+    d = cfg.dimension
+    g = normal_chunk(cfg, substream, chunk, 2 * d)
+    x = g[:, :d]
+    return x, rho * x + math.sqrt(1.0 - rho * rho) * g[:, d:]
+
+
+def use_reference_kernels(monkeypatch):
+    """Swap the reference kernels above into the package: the sample
+    streams, argmax labels and the per-projector distance loop."""
+    from gauss_bubbles import montecarlo
+    from gauss_bubbles.partitions import AffinePartition, PartitionCell
+
+    monkeypatch.setattr(montecarlo, "_normal_chunk", normal_chunk)
+    monkeypatch.setattr(montecarlo, "_pair_chunk", pair_chunk)
+    monkeypatch.setattr(AffinePartition, "classify_points", argmax_labels)
+    monkeypatch.setattr(PartitionCell, "distance", projector_loop_distance)
+
+
 def unfiltered_collar_integrand(partition, eps):
     """The partition collar integrand without a row filter, (m + 1) * k columns.
 
-    Every row is classified, and its distance to every cell it lies outside
-    is computed (exact up to the widest epsilon, eps[0]); the last column
-    block is the per-row sum of the cell collars, added cell by cell.
+    Every row is labelled by ``argmax_labels``, and its distance to every
+    cell it lies outside is computed by ``projector_loop_distance`` (exact up
+    to the widest epsilon, eps[0]); the last column block is the per-row sum
+    of the cell collars, added cell by cell.
     """
     from gauss_bubbles.partitions import PartitionCell
 
@@ -296,12 +363,12 @@ def unfiltered_collar_integrand(partition, eps):
     cells = [PartitionCell(partition, i) for i in range(m)]
 
     def values(x):
-        label = partition.classify_points(x)
+        label = argmax_labels(partition, x)
         out = np.zeros((x.shape[0], m + 1, k))
         total = out[:, m]
         for i, cell in enumerate(cells):
             outside = np.flatnonzero(label != i)
-            dist = cell.distance(x[outside], limit=eps[0])
+            dist = projector_loop_distance(cell, x[outside], limit=eps[0])
             near = dist < eps[0]
             out[outside[near], i] = (dist[near, None] < eps[None, :]) / eps[None, :]
             total += out[:, i]

@@ -224,6 +224,26 @@ class TestSpecFiles:
             }
         assert contents["1"] == contents["4"] == contents["8"]
 
+    @pytest.mark.parametrize("command", [
+        ["noise-stability", "--rho", "0.9"],
+        ["perimeter", "--method", "minkowski", "--antithetic"],
+    ], ids=["noise-stability", "minkowski-antithetic"])
+    def test_sampled_passes_identical_across_thread_counts(self, tmp_path, command):
+        from gauss_bubbles import perturb, simplicial_cone_partition
+
+        partition = tmp_path / "cones4_perturbed.json"
+        partition.write_text(perturb(simplicial_cone_partition(4), 0.1, 7).to_json())
+        contents = {}
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}"
+            proc = run_cli(command + ["--partition", str(partition), "--samples", "5e5",
+                                      "--seed", "3", "--out-dir", str(out)],
+                           tmp_path, env_extra={"GAUSS_BUBBLES_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            contents[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert contents["1"] == contents["2"] == contents["4"]
+        assert contents["1"]
+
     def test_partition_files_named_like_builtins(self, tmp_path, monkeypatch):
         # only "cones<m>" names the built-in family; other names starting
         # with "cones" are partition files

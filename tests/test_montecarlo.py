@@ -18,12 +18,14 @@ from gauss_bubbles import (
     half_space_pair,
     mc_moments,
     mc_volumes,
+    noise_stability_partition,
     perturb,
     propeller_partition,
     sample_correlated_pairs,
     sample_standard_normal,
     simplicial_cone_partition,
 )
+from gauss_bubbles import montecarlo
 from gauss_bubbles.montecarlo import (
     MAIN_SUBSTREAM,
     PAIR_SUBSTREAM,
@@ -565,6 +567,63 @@ class TestGroupedReduction:
                                  mom.moments_stderr.tobytes(), mom.moment_functional,
                                  mom.moment_functional_stderr, mom.penalty)))
         assert reports[0] == reports[1] == reports[2]
+
+
+REFERENCE_PARTITIONS = dict(GROUPED_PARTITIONS,
+                            **{"perturbed-cones5": perturb(simplicial_cone_partition(5), 0.1, 4)})
+
+
+class TestReferenceKernels:
+    """Sampled estimates against the same estimators run on the reference
+    kernels of ``oracles`` (a new array for every sampling step, argmax
+    labels on row-major scores), compared bit for bit."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PARTITIONS))
+    def test_cell_estimates_match_reference_kernels(self, name, antithetic, monkeypatch):
+        part = REFERENCE_PARTITIONS[name]
+        cfg = grouped_cfg(part, antithetic)
+
+        def estimates():
+            vol = mc_volumes(part, cfg)
+            mom = mc_moments(part, None, cfg)
+            noise = noise_stability_partition(part, 0.9, cfg)
+            return [vol.volumes, vol.stderr, vol.counts, mom.volumes, mom.volumes_stderr,
+                    mom.moments, mom.moments_stderr, noise.per_cell, noise.per_cell_stderr,
+                    np.array([noise.total, noise.total_stderr])]
+
+        got = estimates()
+        oracles.use_reference_kernels(monkeypatch)
+        want = estimates()
+        for mine, reference in zip(got, want):
+            assert np.array_equal(mine, reference)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_pair_rows_match_reference_kernels(self, antithetic):
+        cfg = grouped_cfg(CONES4, antithetic)
+        x, y = montecarlo._pair_chunk(cfg, 0.9, PAIR_SUBSTREAM, 1)
+        want_x, want_y = oracles.pair_chunk(cfg, 0.9, PAIR_SUBSTREAM, 1)
+        assert np.array_equal(x, want_x) and np.array_equal(y, want_y)
+
+    def test_normal_rows_are_finite_at_the_ends_of_the_uniform_range(self, monkeypatch):
+        # The generator draws from [0, 1); the floor keeps an exact 0 away
+        # from ndtri, so every sampled row is finite, as classify_points needs.
+        class Extremes:
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, shape):
+                u = np.full(shape, 0.5)
+                u[0, 0], u[1, 0] = 0.0, np.nextafter(1.0, 0.0)
+                return u
+
+        monkeypatch.setattr(montecarlo, "Generator", Extremes)
+        for antithetic in (False, True):
+            cfg = IntegrationConfig(sample_count=8, seed=1, dimension=2, chunk_size=4,
+                                    antithetic=antithetic)
+            rows = montecarlo._normal_chunk(cfg, MAIN_SUBSTREAM, 0, 2)
+            assert np.all(np.isfinite(rows))
+            assert rows[0, 0] < -8.0 and rows[1, 0] > 8.0
 
 
 def _columns(q):

@@ -111,6 +111,52 @@ class TestSimplicialCones:
             AffinePartition(np.array([[1.0, 0.0], [1.0, 0.0]]), np.zeros(2), np.zeros(2))
 
 
+def _integer_partition(m, d, rng):
+    """Directions in {-2, ..., 2} and zero offsets, so that cells tie exactly
+    on integer points, and all of them at the origin; the first two
+    functionals differ."""
+    z = rng.integers(-2, 3, (m, d)).astype(float)
+    z[0, 0], z[1, 0] = 1.0, -1.0
+    return AffinePartition(z, np.zeros(m), np.zeros(d))
+
+
+class TestLabels:
+    """classify_points (cell-major scores, a tournament over the cells)
+    against argmax over the row-major scores, compared bit for bit."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_labels_match_argmax(self, m, d):
+        rng = np.random.default_rng(100 * m + d)
+        part = AffinePartition(rng.standard_normal((m, d)), rng.standard_normal(m), np.zeros(d))
+        ties = _integer_partition(m, d, rng)
+        wide = rng.standard_normal((3000, 2 * d + 1))
+        inputs = [rng.standard_normal((n, d)) for n in (1, 2, 3, 1000)] + [
+            wide[:, :d],  # rows with a stride, as in a pair chunk
+            wide[:, 1::2],  # strided columns
+            wide[::-3, :d],
+        ]
+        for x in inputs:
+            got = part.classify_points(x)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, oracles.argmax_labels(part, x))
+        for n in (1, 2, 5000):
+            x = rng.integers(-2, 3, (n, d)).astype(float)
+            x[-1] = 0.0
+            assert np.array_equal(ties.classify_points(x), oracles.argmax_labels(ties, x))
+        # Exact ties between the best cells are common on these inputs.
+        scores = ties.scores(x)
+        tied = np.sum(scores == scores.max(axis=1)[:, None], axis=1) > 1
+        assert np.count_nonzero(tied) > 100
+
+    def test_classify_rejects_non_finite_points(self):
+        part = simplicial_cone_partition(4)
+        for point in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]):
+            with pytest.raises(DomainError):
+                part.classify(point)
+        assert part.classify([0.0, 0.0, 0.0]) == 0
+
+
 class TestCoveringProperties:
     def test_every_point_lands_in_exactly_one_cell(self):
         rng = np.random.default_rng(4)
@@ -353,31 +399,6 @@ def _points_near_faces(a, b, limit, rng):
     return np.vstack(out) if out else np.zeros((0, d))
 
 
-def _distance_with_row_reductions(cell, points, limit=math.inf):
-    """``PartitionCell.distance`` with its per-row reductions written as
-    ``np.all(..., axis=1)`` and ``np.max(..., axis=1)``."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a, b = cell._a, cell._b
-    if a.shape[0] == 0:
-        return np.zeros(pts.shape[0])
-    if np.any(np.isinf(b)):
-        return np.full(pts.shape[0], np.inf)
-    slack = pts @ a.T - b[None, :]
-    best = np.where(np.all(slack >= -1e-12, axis=1), 0.0, np.inf)
-    lower = np.max((-1e-9 - slack) / cell._a_norm[None, :], axis=1)
-    todo = np.flatnonzero((best > 0.0) & (lower < limit * (1.0 + 1e-9) + 1e-12))
-    near = pts[todo]
-    near_best = np.full(todo.size, np.inf)
-    for subset, sub, gram_inv in cell._projectors:
-        viol = near @ sub.T - b[subset][None, :]
-        proj = near - (viol @ gram_inv) @ sub
-        feasible = np.all(proj @ a.T - b[None, :] >= -1e-9, axis=1)
-        dist = np.linalg.norm(near - proj, axis=1)
-        near_best = np.where(feasible & (dist < near_best), dist, near_best)
-    best[todo] = near_best
-    return best
-
-
 def _tie_points(a, b, rng):
     """Points on constraint hyperplanes, and points with equal normalised
     violations of two constraints (ties of the per-row maximum)."""
@@ -415,7 +436,7 @@ class TestPartitionCell:
             pts += [_points_near_faces(a, b, 0.1, rng), _tie_points(a, b, rng)]
         pts = np.vstack(pts)
         got = cell.distance(pts, limit=limit)
-        assert np.array_equal(got, _distance_with_row_reductions(cell, pts, limit))
+        assert np.array_equal(got, oracles.projector_loop_distance(cell, pts, limit))
         assert cell.distance(pts[:0], limit=limit).shape == (0,)
 
     def test_distance_zero_inside(self):
@@ -494,6 +515,42 @@ class TestPartitionCell:
             assert got[row] == pytest.approx(oracles.convex_cell_distance(a, b, pts[row]), abs=1e-6)
         for row in dropped:
             assert oracles.convex_cell_distance(a, b, pts[row]) >= limit - 1e-6
+
+    @pytest.mark.parametrize("kind", ["cones5", "planar_cones6", "cones9"])
+    def test_projector_batches_keep_the_distances(self, kind, monkeypatch):
+        # cones9 (d = 8) takes np.linalg.norm where smaller d fold the squares.
+        from gauss_bubbles import partitions
+
+        if kind.startswith("cones"):
+            part = perturb(simplicial_cone_partition(int(kind[5:])), 0.1, 2)
+        else:
+            rng = np.random.default_rng(6)
+            part = AffinePartition(rng.standard_normal((6, 2)), rng.normal(0.0, 0.5, 6),
+                                   np.zeros(2))
+        pts = 1.5 * np.random.default_rng(48).standard_normal((400, part.d))
+        for index in range(part.m):
+            cell = PartitionCell(part, index)
+            want = oracles.projector_loop_distance(cell, pts)
+            outside = np.count_nonzero(want > 0.0)
+            # Batches of 1, 2, ... projectors, most of them crossing from one
+            # active-set size to the next.
+            for per_batch in (1, 2, 3, 4, 6, 7):
+                monkeypatch.setattr(partitions, "_PROJECTED_COORDINATES",
+                                    per_batch * outside * part.d)
+                assert np.array_equal(cell.distance(pts), want)
+
+    def test_short_constraint_rows_get_projectors(self):
+        # |z_0 - z_1| = 5e-7: cell 0's constraint against cell 1 has a tiny
+        # gradient but is not degenerate, so it needs its projector.
+        part = AffinePartition(np.array([[1.0, 0.0], [1.0 - 5e-7, 0.0], [0.0, 1.0]]),
+                               np.array([0.0, 0.0, -1.0]), np.zeros(2))
+        point = np.array([-0.05, 0.0])
+        assert part.classify(point) == 1
+        a, b = part.cell_constraints(0)
+        want = oracles.convex_cell_distance(a, b, point)
+        assert want == pytest.approx(0.05, abs=1e-6)
+        for limit in (math.inf, 0.1):
+            assert PartitionCell(part, 0).distance(point, limit)[0] == pytest.approx(0.05, rel=1e-9)
 
     @pytest.mark.parametrize("m", [9, 11])
     def test_projector_count_within_cap_builds(self, m):

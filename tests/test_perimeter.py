@@ -291,18 +291,18 @@ def planar_six_cells():
 
 
 def nearly_parallel_cells():
-    """Cells 0 and 1 with |z_0 - z_1| = 3e-6, and an empty cell 2 whose
+    """Cells 0 and 1 with |z_0 - z_1| = 5e-7, and an empty cell 2 whose
     direction lies halfway between theirs.
 
     Cell 0's constraint against cell 2 is parallel to the one against cell
-    1 and lies 2.5e-4 outside it, inside the band of width 1e-9 / 3e-6 that
+    1 and lies 2.5e-4 outside it, inside the band of width 1e-9 / 5e-7 that
     the distance's feasibility tolerance admits. So rows of cell 1 read a
     distance to cell 0 2.5e-4 below their true one, and the row filter must
-    keep them. (Gradients of norm 1e-6 or less get no projector at all.)
+    keep them.
     """
     t2 = -2.5e-4
-    z = np.array([[1.0, 0.0], [1.0 - 3e-6, 0.0], [1.0 - 1.5e-6, 0.0], [0.0, 1.0]])
-    c = np.array([0.0, 0.0, 1.5e-6 * t2, -1.0])
+    z = np.array([[1.0, 0.0], [1.0 - 5e-7, 0.0], [1.0 - 2.5e-7, 0.0], [0.0, 1.0]])
+    c = np.array([0.0, 0.0, 2.5e-7 * t2, -1.0])
     return AffinePartition(z, c, np.zeros(2))
 
 
@@ -322,18 +322,35 @@ FILTERED_COLLAR_PARTITIONS = {
 class TestMinkowski:
     @pytest.mark.parametrize("antithetic", [False, True])
     @pytest.mark.parametrize("name", sorted(FILTERED_COLLAR_PARTITIONS))
-    def test_row_filter_matches_unfiltered_collar_bit_for_bit(self, name, antithetic):
+    def test_row_filter_matches_unfiltered_collar_bit_for_bit(self, name, antithetic,
+                                                               monkeypatch):
         part = FILTERED_COLLAR_PARTITIONS[name]
         schedule = np.array([0.1, 0.05, 0.025])
         config = IntegrationConfig(sample_count=200_000, seed=29, dimension=part.d,
                                    chunk_size=100_000, antithetic=antithetic)
         got = mc_mean(config, perimeter._partition_collar_integrand(part, schedule),
                       substream=COLLAR_SUBSTREAM)
+        # The reference runs on the reference sample stream as well.
+        oracles.use_reference_kernels(monkeypatch)
         want = mc_mean(config, oracles.unfiltered_collar_integrand(part, schedule),
                        substream=COLLAR_SUBSTREAM)
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(got.stderr, want.stderr)
         assert np.any(got.mean > 0.0)
+
+    @pytest.mark.parametrize("name", sorted(FILTERED_COLLAR_PARTITIONS))
+    def test_cell_distances_match_the_projector_loop_bit_for_bit(self, name):
+        part = FILTERED_COLLAR_PARTITIONS[name]
+        rng = np.random.default_rng(53)
+        x = 1.5 * rng.standard_normal((30_000, part.d))
+        for i in range(part.m):
+            cell = PartitionCell(part, i)
+            # One and two rows take numpy's matrix-vector and matrix-matrix
+            # products; 30 000 rows split the projectors into batches.
+            for points in (x[:1], x[:2], x[:500], x):
+                for limit in (math.inf, 0.1):
+                    got = cell.distance(points, limit=limit)
+                    assert np.array_equal(got, oracles.projector_loop_distance(cell, points, limit))
 
     @pytest.mark.parametrize("part", [propeller_partition(), simplicial_cone_partition(4)],
                              ids=["propeller3", "cones4"])
