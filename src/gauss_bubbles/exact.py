@@ -1,4 +1,4 @@
-"""Exact Gaussian volumes and moment vectors of affine partitions with m <= 4.
+"""Exact Gaussian volumes, facet masses and moment vectors of affine partitions.
 
 Cell i of an affine partition is the polyhedron
 
@@ -7,15 +7,31 @@ Cell i of an affine partition is the polyhedron
 
 so its standard Gaussian volume is the probability that at most m - 1
 correlated standard normals <u_k, X> lie below their limits h_k, with
-correlations <u_k, u_l>. With 0, 1, 2 or 3 distinct constraints that is 1,
-the normal CDF Phi, the bivariate CDF Phi_2 (Owen's T function) or the
-trivariate CDF Phi_3, evaluated as a one-dimensional integral of Phi_2 after
-conditioning on one variable (R. L. Plackett, Biometrika 41, 1954; A. Genz,
-Stat. Comput. 14, 2004) by adaptive 21-point Gauss-Kronrod quadrature
-(R. Piessens et al., QUADPACK, 1983) that evaluates Phi_2 on whole arrays.
+correlations <u_k, u_l>. With 0, 1, 2 or 3 distinct constraints (every cell
+when m <= 4) that is 1, the normal CDF Phi, the bivariate CDF Phi_2 (Owen's
+T function) or the trivariate CDF Phi_3, evaluated as a one-dimensional
+integral of Phi_2 after conditioning on one variable (R. L. Plackett,
+Biometrika 41, 1954; A. Genz, Stat. Comput. 14, 2004) by adaptive 21-point
+Gauss-Kronrod quadrature (R. Piessens et al., QUADPACK, 1983) that evaluates
+Phi_2 on whole arrays. The facet between cells i and j has mass gamma_1(b)
+times the in-plane measure of the set where i and j are the joint argmax;
+with at most two distinct constraints varying on the plane (every facet when
+m <= 4, and every facet in d = 2) that measure is again 1, Phi or Phi_2.
 Moment vectors follow from the divergence identity
-integral_{A_i} x dgamma = -sum_j n_{i->j} mass_ij over the facet masses of
-``perimeter.facet_perimeter``, which are closed-form whenever m <= 4.
+integral_{A_i} x dgamma = -sum_j n_{i->j} mass_ij over the facet masses.
+
+The evaluation has two layers. ``_Geometry`` is built from the directions
+alone: per cell the norms |z_i - z_k|, the correlations of the unit rows
+u_k, and which rows share a direction or are antipodal; per facet its
+normal, the in-plane projections p_k of the other cells' constraints, which
+of them are flat, which share a direction, and their correlation. An
+evaluation at given offsets forms every limit with a few array operations,
+orders each cell's limits (ascending and stable) and merges repeated
+directions, then makes one ``ndtr`` call for all Phi terms and one
+``_bivariate_normal_cdf`` call for all Phi_2 terms of every cell and facet;
+each Phi_3 cell takes one ``trivariate_normal_cdf`` call. Volume calibration
+builds the geometry once and iterates on offsets, and ``_geometry`` keeps
+the geometries of recently seen directions.
 
 Every value carries an error bound where Monte Carlo carries a standard
 error: 0 for Phi and Phi_2, and the quadrature's absolute error estimate
@@ -23,13 +39,19 @@ for Phi_3.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.special import ndtr, owens_t
 
-from .errors import ContractViolationError, DegenerateCellError, UnsupportedGeometryError
-from .montecarlo import IntegrationConfig, MomentReport
+from .errors import (
+    ContractViolationError,
+    DegenerateCellError,
+    DegeneratePairError,
+    UnsupportedGeometryError,
+)
+from .montecarlo import TWO_PI, MomentReport
 
 #: Largest cell count the exact evaluators cover.
 MAX_EXACT_CELLS = 4
@@ -37,6 +59,21 @@ MAX_EXACT_CELLS = 4
 # Unit constraint directions closer than this (or this close to antipodal)
 # are treated as equal (opposite): their correlation is +-1 up to rounding.
 _SAME_DIRECTION_TOL = 1e-12
+# Unit rows whose product is at most this in absolute value are too far
+# apart to be equal or antipodal within _SAME_DIRECTION_TOL.
+_NEAR_PARALLEL = 0.99
+# A facet's third-cell constraint whose in-plane part p_k has a norm below
+# this is parallel to the facet: its condition is constant on the plane.
+_PARALLEL_TOL = 1e-15
+# Band on the top-two score gap when testing joint-argmax membership; exact
+# ties have measure zero but floating point needs slack. A flat constraint
+# fails on the whole plane when it is broken by more than this.
+_JOINT_ARGMAX_TOL = 1e-12
+# Directions whose geometries ``_geometry`` keeps.
+_GEOMETRY_CACHE = 32
+# gamma_1(t) = _DENSITY_1 * exp(-t^2 / 2), the constant as gaussian_density
+# forms it.
+_DENSITY_1 = TWO_PI ** (-1 / 2.0)
 # A partial correlation within this of +-1 is taken as +-1: Phi_2 then differs
 # from its kinked limit only on a band of width ~1e-7, so by less than 1e-14.
 _KINK_TOL = 1e-14
@@ -100,31 +137,50 @@ def bivariate_normal_cdf(h: float, k: float, r: float) -> float:
     return float(_bivariate_normal_cdf(np.array([h], dtype=float), np.array([k], dtype=float), r)[0])
 
 
-def _bivariate_normal_cdf(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
-    """``bivariate_normal_cdf`` over arrays of limits with one correlation."""
-    if r == 1.0:
-        return ndtr(np.minimum(h, k))
-    if r == -1.0:
-        return np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0)
-    s = math.sqrt(1.0 - r * r)
+def _bivariate_normal_cdf(h: np.ndarray, k: np.ndarray, r) -> np.ndarray:
+    """``bivariate_normal_cdf`` over arrays of limits, with one correlation
+    ``r`` or an array of them the shape of the limits.
+
+    Correlations of exactly +-1 take the kinked limits; a zero limit takes
+    Owen's one-sided form, and two zero limits the arcsine law, with
+    ``math.asin`` element by element.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim == 0:
+        r = np.full(h.shape, r)
+    up, down = r == 1.0, r == -1.0
     h_zero, k_zero = h == 0.0, k == 0.0
-    if h_zero.any() or k_zero.any():
-        value = np.empty_like(h)
-        value[h_zero & k_zero] = 0.25 + math.asin(r) / (2.0 * math.pi)
-        for zero, other in ((h_zero & ~k_zero, k), (k_zero & ~h_zero, h)):
-            t = other[zero]
-            value[zero] = 0.5 * ndtr(t) - owens_t(t, -r / s)
-        rest = ~(h_zero | k_zero)
-        value[rest] = _bivariate_normal_cdf(h[rest], k[rest], r)
-        return np.clip(value, 0.0, 1.0)
-    value = (
+    special = up | down | h_zero | k_zero
+    if not np.count_nonzero(special):
+        return _owen(h, k, r).clip(0.0, 1.0)
+    value = np.empty(h.shape)
+    value[up] = ndtr(np.minimum(h[up], k[up]))
+    value[down] = np.maximum(ndtr(h[down]) + ndtr(k[down]) - 1.0, 0.0)
+    rest = ~(up | down)
+    h_zero &= rest
+    k_zero &= rest
+    both = h_zero & k_zero
+    if np.count_nonzero(both):
+        asin = np.array([math.asin(x) for x in r[both].tolist()])
+        value[both] = 0.25 + asin / (2.0 * math.pi)
+    for zero, other in ((h_zero & ~k_zero, k), (k_zero & ~h_zero, h)):
+        t, rz = other[zero], r[zero]
+        value[zero] = 0.5 * ndtr(t) - owens_t(t, -rz / np.sqrt(1.0 - rz * rz))
+    rest = ~special
+    value[rest] = _owen(h[rest], k[rest], r[rest])
+    return value.clip(0.0, 1.0)
+
+
+def _owen(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Owen's form of Phi_2 for nonzero limits and |r| < 1, unclipped."""
+    s = np.sqrt(1.0 - r * r)
+    return (
         0.5 * ndtr(h)
         + 0.5 * ndtr(k)
         - owens_t(h, (k - r * h) / (h * s))
         - owens_t(k, (h - r * k) / (k * s))
         - np.where(h * k < 0.0, 0.5, 0.0)
     )
-    return np.clip(value, 0.0, 1.0)
 
 
 def trivariate_normal_cdf(h, corr, first: int | None = None) -> tuple[float, float]:
@@ -228,43 +284,290 @@ def _gauss_kronrod(f, lower: float, upper: float, breaks=()) -> tuple[float, flo
     return total, total_error
 
 
-def orthant_probability(limits, directions) -> tuple[float, float]:
-    """(P(<u_k, X> <= h_k for every k), error bound) for standard normal X.
+class _CellGeometry:
+    """The offset-independent part of one cell's constraints <u_k, x> <= h_k.
 
-    ``directions`` holds the unit rows u_k. Rows with the same direction are
-    merged, keeping the smallest limit; at most three distinct rows may
-    remain. Correlations within ``_SAME_DIRECTION_TOL`` of +-1 are set to
-    +-1 exactly.
+    ``rows`` are the other cells k with z_k != z_i and ``norms`` their
+    |z_i - z_k|; ``ties`` are the cells with z_k == z_i, whose constraint is
+    constant. ``corr`` holds the correlations <u_k, u_l> of the rows,
+    clipped to [-1, 1], with 1 on the diagonal and -1 for antipodal rows,
+    and ``corr_list`` the same as nested lists. ``same`` marks pairs of rows
+    within ``_SAME_DIRECTION_TOL`` of each other, or is None when there is
+    none.
     """
-    h, u = _merge_rows(np.asarray(limits, dtype=float), np.asarray(directions, dtype=float))
-    n = h.size
-    if n == 0:
-        return 1.0, 0.0
-    if n == 1:
-        return float(ndtr(h[0])), 0.0
-    corr = np.clip(u @ u.T, -1.0, 1.0)
-    for k in range(n):
-        corr[k, k] = 1.0
-        for l in range(k + 1, n):
-            if np.linalg.norm(u[k] + u[l]) <= _SAME_DIRECTION_TOL:
-                corr[k, l] = corr[l, k] = -1.0
-    if n == 2:
-        return bivariate_normal_cdf(float(h[0]), float(h[1]), float(corr[0, 1])), 0.0
-    if n == 3:
-        return trivariate_normal_cdf(h, corr)
-    raise UnsupportedGeometryError(
-        f"{n} distinct constraints: the exact orthant probability covers at most 3"
-    )
+
+    def __init__(self, i: int, tied: list, norms: list, units: np.ndarray):
+        self.rows = [k for k, t in enumerate(tied) if k != i and not t]
+        self.ties = [k for k, t in enumerate(tied) if k != i and t]
+        self.norms = [norms[k] for k in self.rows]
+        u = units[self.rows]
+        # One product for the whole cell: any submatrix of it, in any order,
+        # equals the product of those rows alone.
+        product = u @ u.T
+        corr = product.clip(-1.0, 1.0)
+        np.fill_diagonal(corr, 1.0)
+        n = len(self.rows)
+        self.same = None
+        for k, row in enumerate(product.tolist()):
+            for l in range(k + 1, n):
+                # Rows within _SAME_DIRECTION_TOL of each other (or of
+                # antipodal) have a product within 1e-20 of +-1.
+                if row[l] < -_NEAR_PARALLEL and np.linalg.norm(u[k] + u[l]) <= _SAME_DIRECTION_TOL:
+                    corr[k, l] = corr[l, k] = -1.0
+                if row[l] > _NEAR_PARALLEL and np.linalg.norm(u[k] - u[l]) <= _SAME_DIRECTION_TOL:
+                    if self.same is None:
+                        self.same = np.zeros((n, n), dtype=bool)
+                    self.same[k, l] = self.same[l, k] = True
+        self.corr = corr
+        self.corr_list = corr.tolist()
 
 
-def _merge_rows(h: np.ndarray, u: np.ndarray):
-    """Drop repeated directions, keeping the tightest (smallest) limit."""
-    keep_h, keep_u = [], []
-    for k in np.argsort(h, kind="stable"):
-        if all(np.linalg.norm(u[k] - v) > _SAME_DIRECTION_TOL for v in keep_u):
-            keep_h.append(h[k])
-            keep_u.append(u[k])
-    return np.array(keep_h), np.array(keep_u).reshape(len(keep_u), u.shape[1])
+class _FacetGeometry:
+    """The offset-independent part of the facet between cells i < j.
+
+    ``norm`` is |z_j - z_i|. On the facet's plane, x = b n + y with n the
+    unit normal (z_j - z_i) / norm and y orthogonal to n, "cell i beats
+    cell k" reads alpha_k + <p_k, y> >= 0 for g_k = z_i - z_k,
+    alpha_k = <b n, g_k> + c_i - c_k and p_k = g_k - <g_k, n> n, over the
+    other cells k in pair order. ``flat`` lists the positions of the p_k
+    with |p_k| <= ``_PARALLEL_TOL``; ``groups`` the other positions, grouped
+    by the direction of p_k (first member first), with ``pnorms`` the
+    |p_k|; ``r`` is the correlation of the first two groups' directions.
+    """
+
+    def __init__(self, i: int, j: int, norm, pnorms: list, units: np.ndarray):
+        self.i, self.j, self.norm = i, j, norm
+        self.pnorms = pnorms
+        self.flat = [k for k, norm_k in enumerate(pnorms) if norm_k <= _PARALLEL_TOL]
+        self.groups, reps = [], []
+        for k, norm_k in enumerate(pnorms):
+            if norm_k <= _PARALLEL_TOL:
+                continue
+            u_k = units[k]
+            same = [
+                l for l, v in enumerate(reps)
+                if u_k @ v > _NEAR_PARALLEL and np.linalg.norm(u_k - v) <= _SAME_DIRECTION_TOL
+            ]
+            if same:
+                self.groups[same[0]].append(k)
+            else:
+                self.groups.append([k])
+                reps.append(u_k)
+        self.r = min(max(float(reps[0] @ reps[1]), -1.0), 1.0) if len(reps) >= 2 else None
+
+
+class _Geometry:
+    """Everything the exact evaluators need that depends on the directions
+    alone: a ``_CellGeometry`` per cell (m <= 4 only, built on first use)
+    and a ``_FacetGeometry`` per pair i < j with z_i != z_j, in pair order.
+    ``ties`` lists the pairs with z_i == z_j, which have no facet.
+
+    Every array operation runs once over all cells or all facets, and gives
+    each of them the bits of the same operation on its own rows; only the
+    correlation products of a cell's rows are formed cell by cell.
+    """
+
+    def __init__(self, directions: np.ndarray):
+        z = self._z = directions
+        m = self.m = z.shape[0]
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        gaps = [z[j] - z[i] for i, j in pairs]
+        gap_norms = [np.linalg.norm(gap) for gap in gaps]
+        self.ties = [pair for pair, norm in zip(pairs, gap_norms) if norm == 0.0]
+        kept = [f for f, norm in enumerate(gap_norms) if norm != 0.0]
+        self.facets = []
+        if not kept:
+            return
+        self._i = np.array([pairs[f][0] for f in kept])
+        self._others = np.array(
+            [[k for k in range(m) if k not in pairs[f]] for f in kept], dtype=int
+        ).reshape(len(kept), m - 2)
+        self._normals = np.array([gaps[f] / gap_norms[f] for f in kept])
+        self._g = z[self._i][:, None, :] - z[self._others]
+        # One matrix-vector product per facet, as g @ normal forms it.
+        along = np.matmul(self._g, self._normals[:, :, None])
+        p = self._g - along * self._normals[:, None, :]
+        pnorms = np.linalg.norm(p, axis=2)
+        with np.errstate(invalid="ignore", divide="ignore"):  # flat p_k
+            units = p / pnorms[:, :, None]
+        for f, facet_pnorms, facet_units in zip(kept, pnorms.tolist(), units):
+            i, j = pairs[f]
+            self.facets.append(_FacetGeometry(i, j, gap_norms[f], facet_pnorms, facet_units))
+
+    @functools.cached_property
+    def cells(self) -> list:
+        """The ``_CellGeometry`` of every cell (m <= 4), built on first use."""
+        z = self._z
+        diff = z[:, None, :] - z[None, :, :]  # diff[i, k] = z_i - z_k
+        tied = np.all(diff == 0.0, axis=2).tolist()
+        norms = np.linalg.norm(diff, axis=2)
+        with np.errstate(invalid="ignore"):  # 0 / 0 on tied rows
+            units = -diff / norms[:, :, None]
+        norms = norms.tolist()
+        return [_CellGeometry(i, tied[i], norms[i], units[i]) for i in range(self.m)]
+
+    def volumes(self, offsets) -> tuple[np.ndarray, np.ndarray]:
+        """(volumes, error bounds) of every cell, m <= 4."""
+        volumes, errors, _ = self._evaluate(offsets, cells=True, facets=False)
+        return volumes, errors
+
+    def facet_fractions(self, offsets) -> dict:
+        """{(i, j): in-plane fraction} of every facet; None where three or
+        more distinct constraints vary on the plane."""
+        return self._evaluate(offsets, cells=False, facets=True)[2]
+
+    def facet_masses(self, offsets) -> dict:
+        """{(i, j): gamma_1(b) * in-plane fraction} of every facet, with
+        b = (c_i - c_j) / |z_j - z_i|; None where the fraction is."""
+        return self._masses(offsets, self.facet_fractions(offsets))
+
+    def evaluate(self, offsets) -> tuple[np.ndarray, np.ndarray, dict]:
+        """(volumes, error bounds, facet masses) from one evaluation, m <= 4."""
+        volumes, errors, fractions = self._evaluate(offsets, cells=True, facets=True)
+        return volumes, errors, self._masses(offsets, fractions)
+
+    def _masses(self, offsets, fractions: dict) -> dict:
+        c = np.asarray(offsets, dtype=float).tolist()
+        masses = {}
+        for f in self.facets:
+            fraction = fractions[(f.i, f.j)]
+            if fraction is not None:
+                b = (c[f.i] - c[f.j]) / f.norm
+                fraction *= float(_DENSITY_1 * math.exp(-0.5 * (b * b)))
+            masses[(f.i, f.j)] = fraction
+        return masses
+
+    def _evaluate(self, offsets, cells: bool, facets: bool):
+        """(volumes, error bounds, facet fractions); the parts not asked for
+        are None. All Phi and Phi_2 terms are evaluated together."""
+        c = np.asarray(offsets, dtype=float)
+        terms = _Terms()
+        volumes = errors = fractions = None
+        if cells:
+            errors = np.zeros(self.m)
+            self._cell_terms(c.tolist(), terms, errors)
+        if facets:
+            self._facet_terms(c, terms)
+        values = terms.evaluate()
+        if cells:
+            volumes = np.array(values[: self.m])
+        if facets:
+            facet_values = values[self.m:] if cells else values
+            fractions = {(f.i, f.j): v for f, v in zip(self.facets, facet_values)}
+        return volumes, errors, fractions
+
+    def _cell_terms(self, c: list, terms: "_Terms", errors: np.ndarray) -> None:
+        """One term per cell: its volume, or the Phi or Phi_2 term that
+        gives it. Phi_3 volumes are evaluated here, with their error bounds."""
+        for i, cell in enumerate(self.cells):
+            # A constant row c_k - c_i > 0 (or = 0 against a lower index,
+            # which wins the tie) empties the cell.
+            if any(c[k] - c[i] > 0.0 or (c[k] - c[i] == 0.0 and k < i) for k in cell.ties):
+                terms.value(0.0)
+                continue
+            h = [-(c[k] - c[i]) / norm for k, norm in zip(cell.rows, cell.norms)]
+            order = sorted(range(len(h)), key=h.__getitem__)
+            if cell.same is not None:
+                # Repeated directions keep their smallest limit.
+                kept = []
+                for k in order:
+                    if not any(cell.same[k, l] for l in kept):
+                        kept.append(k)
+                order = kept
+            if len(order) == 0:
+                terms.value(1.0)
+            elif len(order) == 1:
+                terms.phi(h[order[0]])
+            elif len(order) == 2:
+                a, b = order
+                terms.phi2(h[a], h[b], cell.corr_list[a][b])
+            else:
+                value, errors[i] = trivariate_normal_cdf(
+                    [h[k] for k in order], cell.corr[np.ix_(order, order)]
+                )
+                terms.value(value)
+
+    def _facet_terms(self, c: np.ndarray, terms: "_Terms") -> None:
+        """One term per facet: its in-plane fraction, the Phi or Phi_2 term
+        that gives it, or None where it must be sampled."""
+        cl = c.tolist()
+        for i, j in self.ties:
+            if cl[i] == cl[j]:
+                raise DegeneratePairError(f"cells {i} and {j} carry identical affine functionals")
+        if not self.facets:
+            return
+        b = np.array([(cl[f.i] - cl[f.j]) / f.norm for f in self.facets])
+        anchors = b[:, None] * self._normals
+        # One matrix-vector product per facet, as g @ anchor forms it.
+        alpha = np.matmul(self._g, anchors[:, :, None])[:, :, 0]
+        alpha += c[self._i][:, None]
+        alpha -= c[self._others]
+        for f, a in zip(self.facets, alpha.tolist()):
+            if any(a[k] < -_JOINT_ARGMAX_TOL for k in f.flat):
+                terms.value(0.0)
+                continue
+            t = []
+            for group in f.groups:
+                least = a[group[0]] / f.pnorms[group[0]]
+                for k in group[1:]:
+                    t_k = a[k] / f.pnorms[k]
+                    if t_k < least:
+                        least = t_k
+                t.append(least)
+            if len(t) == 0:
+                terms.value(1.0)
+            elif len(t) == 1:
+                terms.phi(t[0])
+            elif len(t) == 2:
+                terms.phi2(t[0], t[1], f.r)
+            else:
+                terms.value(None)
+
+
+class _Terms:
+    """A list of values, some of them given by Phi or Phi_2 terms that are
+    evaluated together: one ``ndtr`` call for every Phi term and one
+    ``_bivariate_normal_cdf`` call for every Phi_2 term."""
+
+    def __init__(self):
+        self.values = []
+        self.one, self.one_at = [], []
+        self.two, self.two_at = [], []
+
+    def value(self, value) -> None:
+        self.values.append(value)
+
+    def phi(self, t: float) -> None:
+        self.one_at.append(len(self.values))
+        self.one.append(t)
+        self.values.append(None)
+
+    def phi2(self, h: float, k: float, r: float) -> None:
+        self.two_at.append(len(self.values))
+        self.two.append((h, k, r))
+        self.values.append(None)
+
+    def evaluate(self) -> list:
+        if self.one:
+            for at, v in zip(self.one_at, ndtr(np.array(self.one)).tolist()):
+                self.values[at] = v
+        if self.two:
+            h, k, r = np.array(self.two).T
+            for at, v in zip(self.two_at, _bivariate_normal_cdf(h, k, r).tolist()):
+                self.values[at] = v
+        return self.values
+
+
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE)
+def _cached_geometry(shape: tuple, data: bytes) -> _Geometry:
+    # A fresh, aligned copy: the products above take the BLAS path, as they
+    # do on a partition's own directions.
+    return _Geometry(np.frombuffer(data).reshape(shape).copy())
+
+
+def _geometry(directions: np.ndarray) -> _Geometry:
+    """The ``_Geometry`` of ``directions``, built once for recent ones."""
+    return _cached_geometry(directions.shape, np.ascontiguousarray(directions).tobytes())
 
 
 def _check(partition):
@@ -279,31 +582,16 @@ def _check(partition):
 def cell_volumes(partition) -> tuple[np.ndarray, np.ndarray]:
     """(volumes, error bounds) of every cell of an affine partition, m <= 4."""
     _check(partition)
-    volumes = np.zeros(partition.m)
-    errors = np.zeros(partition.m)
-    for i in range(partition.m):
-        # Cell i is {a_k x >= b_k}, i.e. <u_k, x> <= h_k with u_k = -a_k/|a_k|
-        # and h_k = -b_k/|a_k|; an infinite b marks an empty cell.
-        a, b = partition.cell_constraints(i)
-        if not np.any(np.isinf(b)):
-            norms = np.linalg.norm(a, axis=1)
-            volumes[i], errors[i] = orthant_probability(-b / norms, -a / norms[:, None])
-    return volumes, errors
+    return _geometry(partition.directions).volumes(partition.offsets)
 
 
 def facet_masses(partition, report=None) -> dict:
     """{(i, j): mass} of every interface facet, read from ``report`` (the
-    partition's ``facet_perimeter`` report) or from a fresh one.
-
-    For m <= 4 every facet mass is closed-form, so the sampling
-    configuration passed along is never drawn from.
+    partition's ``facet_perimeter`` report) or evaluated in closed form.
     """
     _check(partition)
     if report is None:
-        from . import perimeter  # perimeter imports this module
-
-        unused = IntegrationConfig(sample_count=1, seed=0, dimension=partition.d, chunk_size=1)
-        report = perimeter.facet_perimeter(partition, unused)
+        return _geometry(partition.directions).facet_masses(partition.offsets)
     return {pair: mass for pair, (mass, _) in report.masses.items()}
 
 

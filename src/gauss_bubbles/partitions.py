@@ -403,29 +403,34 @@ def _calibrate_exact(
     tol = min(tol, _EXACT_RESIDUAL)
     a = _check_targets(partition, targets)
     a = a / a.sum()
-    current = _centred(partition, partition.offsets)
-    est = exact.cell_volumes(current)[0]
+    # The directions never change: their geometry is built once and the
+    # iteration runs on offset arrays.
+    geometry = exact._geometry(partition.directions)
+    offsets = partition.offsets - partition.offsets.mean()
+    est, _, masses = geometry.evaluate(offsets)
     residual = float(np.max(np.abs(est - a)))
     for _ in range(max_iters):
         if residual <= tol:
             break
         slopes = np.zeros((partition.m, partition.m))
-        for (i, j), mass in exact.facet_masses(current).items():
-            s = mass / np.linalg.norm(current.directions[i] - current.directions[j])
-            slopes[i, j] = slopes[j, i] = -s
+        for facet in geometry.facets:
+            s = masses[(facet.i, facet.j)] / facet.norm
+            slopes[facet.i, facet.j] = slopes[facet.j, facet.i] = -s
         slopes[np.diag_indices(partition.m)] = -slopes.sum(axis=1)
         newton = np.linalg.lstsq(slopes, a - est, rcond=None)[0]
         log_step = damping * np.log(a / np.maximum(est, np.finfo(float).tiny))
         step = np.clip(np.where(est < _NEWTON_FLOOR, log_step, newton), -1.0, 1.0)
         norm = np.linalg.norm(est - a)
         for _ in range(_MAX_HALVINGS):
-            trial = _centred(current, current.offsets + step)
-            trial_est = exact.cell_volumes(trial)[0]
+            trial = offsets + step
+            trial -= trial.mean()
+            trial_est, _, trial_masses = geometry.evaluate(trial)
             if np.linalg.norm(trial_est - a) < norm:
                 break
             step = 0.5 * step
-        current, est = trial, trial_est
+        offsets, est, masses = trial, trial_est, trial_masses
         residual = float(np.max(np.abs(est - a)))
+    current = partition.with_offsets(offsets)
     if residual > tol:
         raise CalibrationError(
             f"volume calibration did not reach tol={tol} in {max_iters} iterations "
@@ -434,10 +439,6 @@ def _calibrate_exact(
             residual=residual,
         )
     return current
-
-
-def _centred(partition: AffinePartition, offsets: np.ndarray) -> AffinePartition:
-    return partition.with_offsets(offsets - offsets.mean())
 
 
 def _calibrate_mc(

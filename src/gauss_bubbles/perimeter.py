@@ -7,12 +7,13 @@ measure, within the hyperplane, of the set where i and j are the joint
 argmax. The in-plane measure is evaluated in closed form whenever at most
 two other cells constrain a facet (every facet when m <= 4, in any d): it
 is then 1, a normal CDF, or a bivariate normal CDF through Owen's T
-function (``exact.bivariate_normal_cdf``). In d=2 the region is an interval
-of a 1-D Gaussian for any m: once constraints with the same direction are
-merged, one bounds it on each side, and the bivariate CDF at correlation -1
-(up to rounding) gives the interval's mass. Beyond that the in-plane measure
-is sampled by Monte Carlo. For m <= 4 these exact facet masses also give the
-exact moment vectors of ``exact.moments``, through the divergence identity.
+function, and ``exact`` evaluates all such facets of a partition together.
+In d=2 the region is an interval of a 1-D Gaussian for any m: once
+constraints with the same direction are merged, one bounds it on each side,
+and the bivariate CDF at correlation -1 (up to rounding) gives the
+interval's mass. Beyond that the in-plane measure is sampled by Monte
+Carlo. For m <= 4 these exact facet masses also give the exact moment
+vectors of ``exact.moments``, through the divergence identity.
 The second estimator uses the outer epsilon-collar definition of surface
 area and extrapolates the collar mass to epsilon -> 0; for affine cells and
 round cylinders the collar test uses exact distances. Round cylinders also
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -36,11 +36,11 @@ from .montecarlo import (
     COLLAR_SUBSTREAM,
     FACET_SUBSTREAM,
     IntegrationConfig,
-    MeanResult,
     gaussian_density,
     mc_mean,
 )
-from .exact import _SAME_DIRECTION_TOL, bivariate_normal_cdf as _bivariate_normal_cdf
+from . import exact
+from .exact import _JOINT_ARGMAX_TOL
 from .partitions import (
     _FEASIBLE_TOL,
     AffinePartition,
@@ -51,12 +51,6 @@ from .partitions import (
 )
 from .special import chi_square_cdf, sphere_surface_measure
 
-# Band on the top-two score gap when testing joint-argmax membership;
-# exact ties have measure zero but floating point needs slack.
-_JOINT_ARGMAX_TOL = 1e-12
-# A third cell whose constraint gradient has an in-plane part below this
-# norm is parallel to the facet: its condition is constant on the plane.
-_PARALLEL_TOL = 1e-15
 # Bound, relative to the scale of the scores, on the rounding difference
 # between a score gap s_l - s_i and the slack PartitionCell.distance computes
 # for the same constraint: far above the few ulps each of them carries.
@@ -120,42 +114,25 @@ def _hyperplane_basis(normal: np.ndarray) -> np.ndarray:
     return null_space(normal[None, :])
 
 
-def _facet_membership_fraction(
+def _sampled_mass(
     partition: AffinePartition,
     facet: InterfaceFacet,
     cfg: IntegrationConfig,
     extra_mask=None,
-) -> MeanResult:
-    """In-hyperplane Gaussian fraction of the joint-argmax region of (i, j).
+) -> tuple[float, float]:
+    """(mass, stderr) of one facet with its in-plane fraction sampled.
 
-    The region is cut out of the hyperplane by the linear conditions "cells
-    i and j beat cell k". Whenever at most two distinct ones depend on the
-    in-plane position (every facet when m <= 4 in any d, and every facet in
-    d = 2) the fraction is closed-form (``_planar_facet_fraction``).
-    Otherwise it is estimated by sampling d-1 standard Gaussian coordinates
+    The fraction is estimated by sampling d-1 standard Gaussian coordinates
     in an orthonormal basis of the hyperplane and testing joint-argmax
-    membership within the tie tolerance. ``extra_mask`` may further
-    restrict the region (e.g. a radial cut) acting on ambient points; it
-    forces the sampling path, except in d = 1, where the hyperplane is the
-    single point ``anchor``.
+    membership within the tie tolerance; ``extra_mask`` may further
+    restrict the region (e.g. a radial cut), acting on ambient points.
     """
-    d = partition.d
     anchor = facet.offset * facet.normal
-
-    fraction = None
-    if extra_mask is None:
-        fraction = _planar_facet_fraction(partition, facet, anchor)
-    elif d == 1:
-        fraction = _planar_facet_fraction(partition, facet, anchor)
-        fraction *= float(extra_mask(anchor[None, :])[0])
-    if fraction is not None:
-        return MeanResult(mean=np.array([fraction]), stderr=np.array([0.0]), n_observations=1)
-
     basis = _hyperplane_basis(facet.normal)
     plane_cfg = IntegrationConfig(
         sample_count=cfg.sample_count,
         seed=cfg.seed,
-        dimension=d - 1,
+        dimension=partition.d - 1,
         chunk_size=cfg.chunk_size,
         antithetic=cfg.antithetic,
     )
@@ -167,60 +144,20 @@ def _facet_membership_fraction(
             member &= extra_mask(pts)
         return member.astype(float)
 
-    return mc_mean(plane_cfg, values, substream=FACET_SUBSTREAM + facet.ordinal)
-
-
-def _planar_facet_fraction(
-    partition: AffinePartition, facet: InterfaceFacet, anchor
-) -> float | None:
-    """Exact in-plane fraction when at most two third cells vary on the plane.
-
-    On the hyperplane, x = anchor + y with y orthogonal to the normal n, and
-    "cell i beats cell k" reads alpha_k + <p_k, y> >= 0, where
-    g_k = z_i - z_k, alpha_k = <anchor, g_k> + c_i - c_k and
-    p_k = g_k - <g_k, n> n. A constraint with p_k = 0 is constant on the
-    plane; the others hold with standard normal probability Phi(t_k),
-    t_k = alpha_k / |p_k|, and two of them jointly with the bivariate normal
-    CDF at correlation <p_1, p_2> / (|p_1| |p_2|). Constraints with the same
-    unit direction u_k are merged, keeping the smallest t_k. In d = 2 every
-    in-plane direction is one of two opposite ones, so every facet is
-    covered, for any m. Returns None when three or more distinct constraints
-    vary on the plane.
-    """
-    z, c = partition.directions, partition.offsets
-    others = [k for k in range(partition.m) if k not in (facet.i, facet.j)]
-    g = z[facet.i] - z[others]
-    alpha = g @ anchor + c[facet.i] - c[others]
-    p = g - np.outer(g @ facet.normal, facet.normal)
-    norms = np.linalg.norm(p, axis=1)
-    flat = norms <= _PARALLEL_TOL
-    if np.any(alpha[flat] < -_JOINT_ARGMAX_TOL):
-        return 0.0
-    t, u = [], []
-    for t_k, u_k in zip(alpha[~flat] / norms[~flat], p[~flat] / norms[~flat, None]):
-        same = [l for l, v in enumerate(u) if np.linalg.norm(u_k - v) <= _SAME_DIRECTION_TOL]
-        if same:
-            t[same[0]] = min(t[same[0]], t_k)
-        else:
-            t.append(t_k)
-            u.append(u_k)
-    if len(t) == 0:
-        return 1.0
-    if len(t) == 1:
-        return float(ndtr(t[0]))
-    if len(t) == 2:
-        r = float(np.clip(u[0] @ u[1], -1.0, 1.0))
-        return _bivariate_normal_cdf(float(t[0]), float(t[1]), r)
-    return None
+    res = mc_mean(plane_cfg, values, substream=FACET_SUBSTREAM + facet.ordinal)
+    density = gaussian_density([facet.offset], 1)
+    return density * float(res.mean[0]), density * float(res.stderr[0])
 
 
 def _joint_argmax_mask(partition, facet, points) -> np.ndarray:
-    scores = partition.scores(points)
-    pair_score = np.minimum(scores[:, facet.i], scores[:, facet.j])
-    others = np.delete(scores, [facet.i, facet.j], axis=1)
-    if others.shape[1] == 0:
+    """Rows where cells i and j tie for the largest score within
+    ``_JOINT_ARGMAX_TOL``, from the cell-major scores."""
+    others = [k for k in range(partition.m) if k not in (facet.i, facet.j)]
+    if not others:
         return np.ones(points.shape[0], dtype=bool)
-    return pair_score >= others.max(axis=1) - _JOINT_ARGMAX_TOL
+    scores = partition._cell_scores(points)
+    pair_score = np.minimum(scores[facet.i], scores[facet.j])
+    return pair_score >= scores[others].max(axis=0) - _JOINT_ARGMAX_TOL
 
 
 def facet_mass(
@@ -229,10 +166,23 @@ def facet_mass(
     cfg: IntegrationConfig,
     extra_mask=None,
 ) -> tuple[float, float]:
-    """Gaussian mass of one facet: gamma_1(offset) * in-plane fraction."""
-    res = _facet_membership_fraction(partition, facet, cfg, extra_mask=extra_mask)
-    density = gaussian_density([facet.offset], 1)
-    return density * float(res.mean[0]), density * float(res.stderr[0])
+    """(Gaussian mass, stderr) of one facet: gamma_1(offset) times the
+    in-plane fraction of its joint-argmax region.
+
+    Whenever at most two distinct conditions "cells i and j beat cell k"
+    vary on the plane (every facet when m <= 4 in any d, and every facet in
+    d = 2) the fraction is closed-form (``exact``) and the stderr 0.
+    ``extra_mask`` forces sampling (``_sampled_mass``), except in d = 1,
+    where the hyperplane is the single point offset * normal.
+    """
+    if extra_mask is None or partition.d == 1:
+        geometry = exact._geometry(partition.directions)
+        mass = geometry.facet_masses(partition.offsets)[(facet.i, facet.j)]
+        if mass is not None:
+            if extra_mask is not None:
+                mass *= float(extra_mask((facet.offset * facet.normal)[None, :])[0])
+            return mass, 0.0
+    return _sampled_mass(partition, facet, cfg, extra_mask)
 
 
 @dataclass(frozen=True)
@@ -254,15 +204,23 @@ class PerimeterReport:
 def facet_perimeter(partition: AffinePartition, cfg: IntegrationConfig) -> PerimeterReport:
     """Total Gaussian surface area of an affine partition, facet by facet.
 
-    Each facet gets its own deterministic substream, so facet masses are
+    Facets with a closed-form in-plane fraction (every facet when m <= 4)
+    are evaluated together (``exact``) and carry stderr 0. Every other facet
+    is sampled on its own deterministic substream, so facet masses are
     independent and the total standard error combines in quadrature.
     """
+    closed = exact._geometry(partition.directions).facet_masses(partition.offsets)
+    sampled = {}
+    if any(mass is None for mass in closed.values()):
+        sampled = {(f.i, f.j): f for f in interface_facets(partition)}
     masses = {}
     total = 0.0
     var = 0.0
-    for facet in interface_facets(partition):
-        mass, err = facet_mass(partition, facet, cfg)
-        masses[(facet.i, facet.j)] = (mass, err)
+    for pair, mass in closed.items():
+        err = 0.0
+        if mass is None:
+            mass, err = _sampled_mass(partition, sampled[pair], cfg)
+        masses[pair] = (mass, err)
         total += mass
         var += err * err
     return PerimeterReport(
@@ -343,29 +301,45 @@ def minkowski_partition_perimeter(
 
     Every cell's collar is measured on one sample stream
     (``_partition_collar_integrand``). The table keeps a row per (cell,
-    epsilon). The total is fitted from the per-row sum of the cell collars,
-    halved because each interface is the boundary of exactly two cells;
-    because that sum is formed per row, its standard error includes the
-    correlation between cells that share the stream.
+    epsilon). The total is the intercept of a line through the per-row sum
+    of the cell collars against epsilon, halved because each interface is
+    the boundary of exactly two cells. The line has fixed weights
+    (``_collar_coefficients``), so its intercept is formed per row; its
+    standard error then includes the correlation between cells and between
+    epsilon values that share the stream.
     """
     eps = _check_schedule(eps_schedule)
     eps_arr = np.array(eps)
     m, k = partition.m, len(eps)
     values = _partition_collar_integrand(partition, eps_arr)
     res = mc_mean(cfg, values, substream=COLLAR_SUBSTREAM)
-    mean = res.mean.reshape(m + 1, k)
-    err = res.stderr.reshape(m + 1, k)
+    mean = res.mean[:-1].reshape(m, k)
+    err = res.stderr[:-1].reshape(m, k)
     table = [
         (i, eps[j], float(mean[i, j]), float(err[i, j])) for i in range(m) for j in range(k)
     ]
-    intercept, intercept_err, slope = _collar_fit(eps_arr, mean[m], err[m])
+    _, slope = _collar_coefficients(eps_arr)
     return MinkowskiReport(
-        estimate=0.5 * intercept, stderr=0.5 * intercept_err, table=table, slope=0.5 * slope
+        estimate=0.5 * float(res.mean[-1]),
+        stderr=0.5 * float(res.stderr[-1]),
+        table=table,
+        slope=0.5 * float(slope @ mean.sum(axis=0)),
     )
 
 
+def _collar_coefficients(eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) such that a @ y and b @ y are the intercept and the slope of
+    the least-squares line through collar values y against epsilon, with
+    weights proportional to epsilon: a collar's variance scales as 1/eps."""
+    w = eps
+    sw, sx, sxx = w.sum(), (w * eps).sum(), (w * eps * eps).sum()
+    det = sw * sxx - sx * sx
+    return w * (sxx - sx * eps) / det, w * (sw * eps - sx) / det
+
+
 def _partition_collar_integrand(partition: AffinePartition, eps: np.ndarray):
-    """Row-wise collar values of every cell, then their sum: (m + 1) * k columns.
+    """Row-wise collar values of every cell, then the fitted intercept of
+    their sum over the cells: m * k + 1 columns.
 
     A row in cell l lies outside every other cell i and breaks its
     constraint s_i >= s_l by the score gap s_l - s_i, so its distance to
@@ -374,12 +348,16 @@ def _partition_collar_integrand(partition: AffinePartition, eps: np.ndarray):
     ``_FEASIBLE_TOL`` and ``_relaxed_limit``) and by ``_SCORE_ROUNDING``:
     only rows it cannot place beyond the widest collar, eps[0], get an exact
     distance, and only rows inside that collar are written. Every other row
-    reads exact zeros, as it would had every distance been computed.
+    reads exact zeros, as it would had every distance been computed. The
+    last column is sum_j a_j * total_j, added over the epsilons in order,
+    with total_j the row's collars at eps_j summed over the cells in order
+    and a the intercept coefficients of ``_collar_coefficients``.
     """
     m, k = partition.m, eps.size
     cells = [PartitionCell(partition, i) for i in range(m)]
     z, c = partition.directions, partition.offsets
     limit = float(eps[0])
+    intercept, _ = _collar_coefficients(eps)
     # reach[l, i]: the largest gap s_l - s_i at which a row of cell l can be
     # within limit of cell i. Equal directions drop the constraint, so those
     # rows are always kept; a row is never outside its own cell.
@@ -398,19 +376,29 @@ def _partition_collar_integrand(partition: AffinePartition, eps: np.ndarray):
         gaps = np.subtract(best, scores, out=scores)
         allowance = _SCORE_ROUNDING * (1.0 + float(np.abs(x).max()) * z_scale + c_max)
         bound = (reach + allowance).T  # bound[i, l]: the largest gap kept, cell i, label l
-        out = np.zeros((n, m + 1, k))
-        total = out[:, m]
+        out = np.zeros((n, m * k + 1))
+        cell_out = out[:, :-1].reshape(n, m, k)
+        total = np.zeros((n, k))
+        written = []
         for i, cell in enumerate(cells):
             rows = np.flatnonzero(gaps[i] < bound[i].take(label))
             dist = cell.distance(x[rows], limit=limit)
             near = dist < limit
             rows = rows[near]
             collar = (dist[near, None] < eps[None, :]) / eps[None, :]
-            out[rows, i] = collar
-            # Cell by cell, in order, as out[:, :m].sum(axis=1) adds with the
-            # >= 3 epsilons of a schedule; the rows left out would add 0.
+            cell_out[rows, i] = collar
+            # Cell by cell, in order; the rows left out would add 0.
             total[rows] += collar
-        return out.reshape(n, (m + 1) * k)
+            written.append(rows)
+        # The fitted intercept of every row with a nonzero total; the others
+        # would read 0 as well.
+        rows = np.concatenate(written)
+        summed = total[rows]
+        fit = np.zeros(rows.size)
+        for j in range(k):
+            fit += intercept[j] * summed[:, j]
+        out[rows, -1] = fit
+        return out
 
     return values
 

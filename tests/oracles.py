@@ -2,7 +2,11 @@
 
 Everything here is deliberately dumb and slow: quadrature, brute-force
 enumeration, dense scans. None of it shares code with the package paths it
-checks.
+checks. The reference kernels further down are the exception: they keep
+earlier, simpler forms of package paths (sample streams, argmax labels,
+cell distances, the per-cell exact evaluation), which tests swap in to
+check the faster forms bit for bit; they reuse the package's unchanged
+parts, such as its tolerances and the Phi_3 quadrature.
 """
 from __future__ import annotations
 
@@ -11,6 +15,8 @@ import math
 
 import numpy as np
 from scipy.integrate import dblquad, quad
+
+from gauss_bubbles.exact import _Geometry
 
 
 def gaussian_density_1d(x: float) -> float:
@@ -349,29 +355,218 @@ def use_reference_kernels(monkeypatch):
 
 
 def unfiltered_collar_integrand(partition, eps):
-    """The partition collar integrand without a row filter, (m + 1) * k columns.
+    """The partition collar integrand without a row filter, m * k + 1
+    columns.
 
     Every row is labelled by ``argmax_labels``, and its distance to every
     cell it lies outside is computed by ``projector_loop_distance`` (exact up
-    to the widest epsilon, eps[0]); the last column block is the per-row sum
-    of the cell collars, added cell by cell.
+    to the widest epsilon, eps[0]); the last column is the fitted intercept
+    sum_j a_j * total_j of the per-row sum of the cell collars (added cell
+    by cell), with the coefficients a of ``perimeter._collar_coefficients``,
+    added over the epsilons in order.
     """
     from gauss_bubbles.partitions import PartitionCell
+    from gauss_bubbles.perimeter import _collar_coefficients
 
     eps = np.asarray(eps, dtype=float)
     m, k = partition.m, eps.size
     cells = [PartitionCell(partition, i) for i in range(m)]
+    intercept, _ = _collar_coefficients(eps)
 
     def values(x):
         label = argmax_labels(partition, x)
-        out = np.zeros((x.shape[0], m + 1, k))
-        total = out[:, m]
+        out = np.zeros((x.shape[0], m, k))
+        total = np.zeros((x.shape[0], k))
         for i, cell in enumerate(cells):
             outside = np.flatnonzero(label != i)
             dist = projector_loop_distance(cell, x[outside], limit=eps[0])
             near = dist < eps[0]
             out[outside[near], i] = (dist[near, None] < eps[None, :]) / eps[None, :]
             total += out[:, i]
-        return out.reshape(x.shape[0], (m + 1) * k)
+        fit = np.zeros(x.shape[0])
+        for j in range(k):
+            fit += intercept[j] * total[:, j]
+        return np.column_stack([out.reshape(x.shape[0], m * k), fit])
 
     return values
+
+
+def bivariate_normal_cdf_scalar_r(h, k, r: float) -> np.ndarray:
+    """Owen's Phi_2 over arrays of limits with one scalar correlation, each
+    branch taken for the whole array: the reference for the array-``r``
+    ``exact._bivariate_normal_cdf``."""
+    from scipy.special import ndtr, owens_t
+
+    if r == 1.0:
+        return ndtr(np.minimum(h, k))
+    if r == -1.0:
+        return np.maximum(ndtr(h) + ndtr(k) - 1.0, 0.0)
+    s = math.sqrt(1.0 - r * r)
+    h_zero, k_zero = h == 0.0, k == 0.0
+    if h_zero.any() or k_zero.any():
+        value = np.empty_like(h)
+        value[h_zero & k_zero] = 0.25 + math.asin(r) / (2.0 * math.pi)
+        for zero, other in ((h_zero & ~k_zero, k), (k_zero & ~h_zero, h)):
+            t = other[zero]
+            value[zero] = 0.5 * ndtr(t) - owens_t(t, -r / s)
+        rest = ~(h_zero | k_zero)
+        value[rest] = bivariate_normal_cdf_scalar_r(h[rest], k[rest], r)
+        return np.clip(value, 0.0, 1.0)
+    value = (
+        0.5 * ndtr(h)
+        + 0.5 * ndtr(k)
+        - owens_t(h, (k - r * h) / (h * s))
+        - owens_t(k, (h - r * k) / (k * s))
+        - np.where(h * k < 0.0, 0.5, 0.0)
+    )
+    return np.clip(value, 0.0, 1.0)
+
+
+def merge_rows(h: np.ndarray, u: np.ndarray):
+    """Sort the limits (ascending, stable) and drop repeated directions,
+    keeping the tightest (smallest) limit."""
+    from gauss_bubbles.exact import _SAME_DIRECTION_TOL
+
+    keep_h, keep_u = [], []
+    for k in np.argsort(h, kind="stable"):
+        if all(np.linalg.norm(u[k] - v) > _SAME_DIRECTION_TOL for v in keep_u):
+            keep_h.append(h[k])
+            keep_u.append(u[k])
+    return np.array(keep_h), np.array(keep_u).reshape(len(keep_u), u.shape[1])
+
+
+def orthant_probability(limits, directions) -> tuple[float, float]:
+    """(P(<u_k, X> <= h_k for every k), error bound) for standard normal X
+    and unit rows u_k, one cell at a time: merged rows, their correlation
+    product, and Phi, Phi_2 (``bivariate_normal_cdf_scalar_r``) or Phi_3."""
+    from gauss_bubbles import exact
+
+    h, u = merge_rows(np.asarray(limits, dtype=float), np.asarray(directions, dtype=float))
+    n = h.size
+    if n == 0:
+        return 1.0, 0.0
+    if n == 1:
+        from scipy.special import ndtr
+
+        return float(ndtr(h[0])), 0.0
+    corr = np.clip(u @ u.T, -1.0, 1.0)
+    for k in range(n):
+        corr[k, k] = 1.0
+        for l in range(k + 1, n):
+            if np.linalg.norm(u[k] + u[l]) <= exact._SAME_DIRECTION_TOL:
+                corr[k, l] = corr[l, k] = -1.0
+    if n == 2:
+        r = float(corr[0, 1])
+        return float(bivariate_normal_cdf_scalar_r(np.array([h[0]]), np.array([h[1]]), r)[0]), 0.0
+    return exact.trivariate_normal_cdf(h, corr)
+
+
+def per_cell_volumes(partition) -> tuple[np.ndarray, np.ndarray]:
+    """(volumes, error bounds) of an affine partition with m <= 4, one
+    ``orthant_probability`` per cell of ``cell_constraints``."""
+    volumes = np.zeros(partition.m)
+    errors = np.zeros(partition.m)
+    for i in range(partition.m):
+        a, b = partition.cell_constraints(i)
+        if not np.any(np.isinf(b)):
+            norms = np.linalg.norm(a, axis=1)
+            volumes[i], errors[i] = orthant_probability(-b / norms, -a / norms[:, None])
+    return volumes, errors
+
+
+def planar_facet_fraction(partition, facet, anchor):
+    """In-plane fraction of one facet's joint-argmax region when at most two
+    distinct constraints vary on the plane, else None; one facet at a time,
+    merging repeated directions in cell order."""
+    from scipy.special import ndtr
+
+    from gauss_bubbles.exact import _JOINT_ARGMAX_TOL, _PARALLEL_TOL, _SAME_DIRECTION_TOL
+
+    z, c = partition.directions, partition.offsets
+    others = [k for k in range(partition.m) if k not in (facet.i, facet.j)]
+    g = z[facet.i] - z[others]
+    alpha = g @ anchor + c[facet.i] - c[others]
+    p = g - np.outer(g @ facet.normal, facet.normal)
+    norms = np.linalg.norm(p, axis=1)
+    flat = norms <= _PARALLEL_TOL
+    if np.any(alpha[flat] < -_JOINT_ARGMAX_TOL):
+        return 0.0
+    t, u = [], []
+    for t_k, u_k in zip(alpha[~flat] / norms[~flat], p[~flat] / norms[~flat, None]):
+        same = [l for l, v in enumerate(u) if np.linalg.norm(u_k - v) <= _SAME_DIRECTION_TOL]
+        if same:
+            t[same[0]] = min(t[same[0]], t_k)
+        else:
+            t.append(t_k)
+            u.append(u_k)
+    if len(t) == 0:
+        return 1.0
+    if len(t) == 1:
+        return float(ndtr(t[0]))
+    if len(t) == 2:
+        r = float(np.clip(u[0] @ u[1], -1.0, 1.0))
+        return float(bivariate_normal_cdf_scalar_r(np.array([t[0]]), np.array([t[1]]), r)[0])
+    return None
+
+
+class PerCellGeometry(_Geometry):
+    """``exact._Geometry`` whose evaluations rebuild the partition and run
+    the per-cell and per-facet references above: ``per_cell_volumes``,
+    ``planar_facet_fraction`` on ``interface_facets``, and masses
+    gamma_1(offset) * fraction through ``gaussian_density``."""
+
+    def __init__(self, directions):
+        super().__init__(directions)
+        self.directions = np.array(directions, dtype=float)
+
+    def _partition(self, offsets):
+        from gauss_bubbles.partitions import AffinePartition
+
+        return AffinePartition(self.directions, np.array(offsets, dtype=float),
+                               np.zeros(self.directions.shape[1]))
+
+    def _evaluate(self, offsets, cells, facets):
+        from gauss_bubbles.perimeter import interface_facets
+
+        part = self._partition(offsets)
+        volumes = errors = fractions = None
+        if cells:
+            volumes, errors = per_cell_volumes(part)
+        if facets:
+            fractions = {(f.i, f.j): planar_facet_fraction(part, f, f.offset * f.normal)
+                         for f in interface_facets(part)}
+        return volumes, errors, fractions
+
+    def _masses(self, offsets, fractions):
+        from gauss_bubbles.montecarlo import gaussian_density
+        from gauss_bubbles.perimeter import interface_facets
+
+        masses = {}
+        for f in interface_facets(self._partition(offsets)):
+            fraction = fractions[(f.i, f.j)]
+            masses[(f.i, f.j)] = (None if fraction is None
+                                  else gaussian_density([f.offset], 1) * float(fraction))
+        return masses
+
+
+def use_reference_exact(monkeypatch):
+    """Swap the per-cell exact references above into the package: every
+    geometry is a fresh ``PerCellGeometry``, and Phi_2 (also inside the
+    Phi_3 quadrature) takes one scalar correlation per call."""
+    from gauss_bubbles import exact
+
+    monkeypatch.setattr(exact, "_geometry", PerCellGeometry)
+    monkeypatch.setattr(exact, "_bivariate_normal_cdf", bivariate_normal_cdf_scalar_r)
+
+
+def row_major_joint_argmax_mask(partition, facet, points):
+    """Rows where cells i and j tie for the largest score within the
+    joint-argmax tolerance, from the row-major ``scores`` product."""
+    from gauss_bubbles.exact import _JOINT_ARGMAX_TOL
+
+    scores = partition.scores(points)
+    pair_score = np.minimum(scores[:, facet.i], scores[:, facet.j])
+    others = np.delete(scores, [facet.i, facet.j], axis=1)
+    if others.shape[1] == 0:
+        return np.ones(points.shape[0], dtype=bool)
+    return pair_score >= others.max(axis=1) - _JOINT_ARGMAX_TOL

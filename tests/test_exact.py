@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import random
 
@@ -9,8 +11,10 @@ from gauss_bubbles import (
     ContractViolationError,
     DegenerateCellError,
     IntegrationConfig,
+    DegeneratePairError,
     UnsupportedGeometryError,
     calibrate_offsets_to_volumes,
+    half_space_pair,
     facet_perimeter,
     mc_moments,
     perturb,
@@ -18,12 +22,12 @@ from gauss_bubbles import (
     simplicial_cone_partition,
     stability_margin,
 )
-from gauss_bubbles import optimize
+from gauss_bubbles import exact, optimize
+from gauss_bubbles.cli import main
 from gauss_bubbles.exact import (
     bivariate_normal_cdf,
     cell_volumes,
     moments,
-    orthant_probability,
     trivariate_normal_cdf,
 )
 
@@ -72,7 +76,7 @@ def check_coplanar(seed, cases, mix, spread):
         basis, _ = np.linalg.qr(u[:2].T)
         h = rng.normal(0.0, spread, 3)
         want = oracles.planar_polygon_probability(h, u @ basis)
-        assert orthant_probability(h, u)[0] == pytest.approx(want, rel=0.0, abs=1e-14)
+        assert oracles.orthant_probability(h, u)[0] == pytest.approx(want, rel=0.0, abs=1e-14)
 
 
 class TestClosedForms:
@@ -199,10 +203,16 @@ class TestDegenerateInputs:
         assert abs(volumes.sum() - 1.0) <= 1e-13
 
     def test_merge_keeps_the_smallest_limit(self):
+        # Cell 0 (z_0 = 0) sees u = (0.6, 0.8) from cells 1 and 2, with the
+        # looser limit 1.0 first, and (-0.8, 0.6) from cell 3: its volume
+        # is that of the cell without the looser row.
         u = np.array([[0.6, 0.8], [0.6, 0.8], [-0.8, 0.6]])
-        looser_first, _ = orthant_probability([1.0, -0.3, 0.5], u)
-        merged, _ = orthant_probability([-0.3, 0.5], u[1:])
-        assert looser_first == merged
+        both = AffinePartition(np.vstack([[0.0, 0.0], u * [[1.0], [2.0], [1.0]]]),
+                               np.array([0.0, -1.0, 0.6, -0.5]), np.zeros(2))
+        tighter = AffinePartition(np.vstack([[0.0, 0.0], u[1:] * [[2.0], [1.0]]]),
+                                  np.array([0.0, 0.6, -0.5]), np.zeros(2))
+        assert cell_volumes(both)[0][0] == cell_volumes(tighter)[0][0]
+        assert cell_volumes(both)[0][0] == oracles.orthant_probability([-0.3, 0.5], u[1:])[0]
 
     def test_four_cells_in_the_plane(self):
         angles = np.array([0.1, 1.9, 3.3, 4.6])
@@ -289,3 +299,137 @@ class TestExactCertificate:
         assert calls == [reference, candidate]
         assert cert.m_candidate == moments(candidate).moment_functional
         assert cert.margin_stderr == 0.0
+
+
+def exact_results(part, w=None):
+    """Volumes, error bounds, facet masses and the moment report of a
+    partition, or the exception type where the facets raise."""
+    volumes, errors = cell_volumes(part)
+    try:
+        masses = exact.facet_masses(part)
+        report = moments(part, w)
+    except DegeneratePairError as err:
+        return volumes, errors, type(err)
+    return volumes, errors, masses, dataclasses.asdict(report)
+
+
+def assert_bit_identical(got, want):
+    if isinstance(got, dict):
+        assert got.keys() == want.keys()
+        for key in got:
+            assert_bit_identical(got[key], want[key])
+    elif isinstance(got, (tuple, list)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_bit_identical(a, b)
+    elif isinstance(got, np.ndarray):
+        assert got.tobytes() == np.asarray(want).tobytes()
+    else:
+        assert type(got) is type(want) and (got == want or repr(got) == repr(want))
+
+
+def assert_matches_per_cell_reference(monkeypatch, parts, w=None):
+    got = [exact_results(part, w) for part in parts]
+    with monkeypatch.context() as patch:
+        oracles.use_reference_exact(patch)
+        assert isinstance(exact._geometry(parts[0].directions), oracles.PerCellGeometry)
+        want = [exact_results(part, w) for part in parts]
+    assert_bit_identical(got, want)
+
+
+def degenerate_partitions():
+    """Parallel, coincident, nearly coincident and antipodal rows, an empty
+    cell, identical functionals, d = 1 and four cells in the plane."""
+    angles = np.array([0.1, 1.9, 3.3, 4.6])
+    tilted = np.array([[0.0, 0.0], [0.6, 0.8], [1.2, 1.6 + 1e-14], [-0.8, 0.6]])
+    return {
+        "parallel": ([[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8], [1.0, 0.0]], [0.1, 0.0, -0.1, -0.2]),
+        "coincident-antipodal": ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]],
+                                 [0.0, -0.9, -0.4, -1.2]),
+        "nearly-coincident": (tilted, [0.0, -1.0, 0.6, -0.5]),
+        "empty-cell": ([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]], [0.0, 0.0, -1.0]),
+        "identical": ([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]], [0.2, 0.0, 0.2]),
+        "line-3": ([[1.0], [0.0], [-1.0]], [0.0, 0.4, 0.1]),
+        "line-4": ([[2.0], [1.0], [-0.5], [-1.0]], [-0.3, 0.2, 0.0, 0.1]),
+        "plane-4": (np.column_stack([np.cos(angles), np.sin(angles)]), [0.2, -0.1, 0.3, -0.4]),
+        "zero-limits-3d": ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0, 0.0]),
+    }
+
+
+class TestAgainstPerCellReference:
+    """The geometry/evaluation split gives the per-cell evaluation's bits."""
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_benchmark_candidates(self, m, monkeypatch):
+        parts = list(benchmark_candidates(m, 300, seed=40 + m))
+        assert_matches_per_cell_reference(monkeypatch, parts)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_calibrated_benchmark_candidates(self, m, monkeypatch):
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=m - 1, chunk_size=1)
+        targets = np.full(m, 1.0 / m)
+        starts = list(benchmark_candidates(m, 40, seed=50 + m))
+        got = [calibrate_offsets_to_volumes(p, targets, config).offsets for p in starts]
+        with monkeypatch.context() as patch:
+            oracles.use_reference_exact(patch)
+            want = [calibrate_offsets_to_volumes(p, targets, config).offsets for p in starts]
+        assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("d", [1, 5, 13, 21])
+    def test_random_partitions_in_many_dimensions(self, d, monkeypatch):
+        rng = np.random.default_rng(90 + d)
+        parts = [AffinePartition(rng.standard_normal((m, d)), rng.normal(0.0, 0.6, m), np.zeros(d))
+                 for m in (2, 3, 4) for _ in range(10)]
+        assert_matches_per_cell_reference(monkeypatch, parts)
+
+    def test_zero_limits_of_plain_cones(self, monkeypatch):
+        parts = [propeller_partition(), simplicial_cone_partition(3),
+                 simplicial_cone_partition(4), half_space_pair(1), half_space_pair(3)]
+        assert_matches_per_cell_reference(monkeypatch, parts)
+        assert_matches_per_cell_reference(monkeypatch, parts[2:3], w=np.full(3, 0.05))
+
+    @pytest.mark.parametrize("name", sorted(degenerate_partitions()))
+    def test_degenerate_geometry(self, name, monkeypatch):
+        directions, offsets = degenerate_partitions()[name]
+        directions = np.array(directions, dtype=float)
+        part = AffinePartition(directions, np.array(offsets), np.zeros(directions.shape[1]))
+        assert_matches_per_cell_reference(monkeypatch, [part])
+
+    def test_closed_form_facets_of_many_cells(self, monkeypatch):
+        # d = 2 facets are closed-form for any m; m = 5, 6 in d = 3 mix
+        # closed-form and sampled facets.
+        rng = np.random.default_rng(77)
+        parts = [AffinePartition(rng.standard_normal((m, d)), rng.normal(0.0, 0.6, m), np.zeros(d))
+                 for m, d in [(5, 2), (6, 2), (8, 2), (5, 3), (6, 3)] for _ in range(6)]
+        config = IntegrationConfig(sample_count=2_000, seed=1, dimension=2, chunk_size=1_000)
+        got = [facet_perimeter(p, dataclasses.replace(config, dimension=p.d)) for p in parts]
+        with monkeypatch.context() as patch:
+            oracles.use_reference_exact(patch)
+            want = [facet_perimeter(p, dataclasses.replace(config, dimension=p.d)) for p in parts]
+        assert got == want
+        assert any(r.total_stderr > 0.0 for r in got) and any(r.total_stderr == 0.0 for r in got)
+
+
+REFERENCE_REPORTS = [
+    "stability-check --m 3 --perturb 0.1 --perturb-seed 5 --epsilon 1e-3 --samples 5e4 --seed 3",
+    "stability-check --m 4 --perturb 0.12 --perturb-seed 9 --epsilon 1e-3 --samples 5e4 --seed 3",
+    "penalty --partition cones4 --samples 1e4 --seed 7",
+    "perimeter --partition propeller3 --method facet --samples 1e4 --seed 7",
+    "perimeter --partition cones5 --method facet --samples 2e4 --seed 7",
+    "optimize-propeller --m 3 --d 2 --restarts 1 --max-iters 12 --search-samples 1e4 "
+    "--samples 2e4 --seed 2",
+]
+
+
+@pytest.mark.parametrize("command", REFERENCE_REPORTS, ids=lambda c: c.split()[0])
+def test_reports_match_the_per_cell_reference(command, tmp_path, monkeypatch):
+    def report(out):
+        assert main(command.split() + ["--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    got = report(tmp_path / "split")
+    with monkeypatch.context() as patch:
+        oracles.use_reference_exact(patch)
+        want = report(tmp_path / "per-cell")
+    assert got == want
+    assert json.loads(next(v for k, v in got.items() if k.endswith("summary.json")))["results"]

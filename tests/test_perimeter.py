@@ -26,9 +26,10 @@ from gauss_bubbles import (
     symmetric_scan,
     tail_perimeter_check,
 )
-from gauss_bubbles import perimeter
+from gauss_bubbles import exact, perimeter
 from gauss_bubbles.montecarlo import COLLAR_SUBSTREAM, mc_mean
-from gauss_bubbles.perimeter import _bivariate_normal_cdf, facet_mass
+from gauss_bubbles.exact import bivariate_normal_cdf
+from gauss_bubbles.perimeter import facet_mass
 from gauss_bubbles.special import chi_square_cdf, regularized_gamma_p, sphere_surface_measure
 
 import oracles
@@ -41,6 +42,11 @@ PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
 def all_true(points):
     """Extra mask that keeps every point; it forces the in-plane sampler."""
     return np.ones(points.shape[0], dtype=bool)
+
+
+def fractions(part):
+    """{(i, j): closed-form in-plane fraction} of every facet of a partition."""
+    return exact._geometry(part.directions).facet_fractions(part.offsets)
 
 
 def cfg(d, samples=400_000, seed=7, antithetic=False):
@@ -176,7 +182,7 @@ class TestClosedFormFacetFraction:
         expected = multivariate_normal.cdf(
             [h, k], mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]], allow_singular=True,
             abseps=1e-12, maxpts=10**7, rng=np.random.default_rng(1))
-        assert _bivariate_normal_cdf(h, k, r) == pytest.approx(expected, abs=1e-12)
+        assert bivariate_normal_cdf(h, k, r) == pytest.approx(expected, abs=1e-12)
 
     def test_unperturbed_cones4_total(self):
         # each of the 6 facets: gamma_1(0) times an orthant probability with
@@ -229,11 +235,53 @@ class TestClosedFormFacetFraction:
         cones4 = simplicial_cone_partition(4)
         facets = facet_perimeter(cones5, cfg(4, samples=100_000))
         tail = tail_perimeter_check(cones4, 2.0, None, cfg(3, samples=100_000))
-        monkeypatch.setattr("gauss_bubbles.perimeter._planar_facet_fraction",
-                            lambda *args: None)
+        monkeypatch.setattr(exact._Geometry, "facet_fractions",
+                            lambda self, offsets: {(f.i, f.j): None for f in self.facets})
         assert facet_perimeter(cones5, cfg(4, samples=100_000)) == facets
         assert tail_perimeter_check(cones4, 2.0, None, cfg(3, samples=100_000)) == tail
         assert facets.total_stderr > 0.0 and tail.stderr > 0.0
+
+
+class TestJointArgmaxMask:
+    """The sampled facets' membership mask reads the cell-major scores."""
+
+    @staticmethod
+    def _near_junction_points(part, facet, k, rng, count=400):
+        """Points of facet (i, j)'s plane where cell k ties with i and j,
+        moved along the plane by up to 3e-12 so that k's score lies within
+        the tie band or just outside it."""
+        z, c = part.directions, part.offsets
+        rows = np.array([z[facet.i] - z[facet.j], z[facet.i] - z[k]])
+        rhs = np.array([c[facet.j] - c[facet.i], c[k] - c[facet.i]])
+        base = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+        free = perimeter._hyperplane_basis(facet.normal)
+        along = free @ (free.T @ (z[facet.i] - z[k]))  # in-plane, moves s_i - s_k
+        along /= np.linalg.norm(along)
+        null = np.linalg.svd(rows)[2][2:]
+        spread = rng.standard_normal((count, null.shape[0])) @ null
+        step = rng.uniform(-3e-12, 3e-12, size=count)
+        return base + spread + step[:, None] * along
+
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_matches_the_row_major_mask(self, m):
+        part = perturb(simplicial_cone_partition(m), 0.1, m)
+        rng = np.random.default_rng(31 + m)
+        inside = outside = 0
+        for facet in interface_facets(part):
+            basis = perimeter._hyperplane_basis(facet.normal)
+            plane = facet.offset * facet.normal + rng.standard_normal((500, m - 2)) @ basis.T
+            k = next(l for l in range(m) if l not in (facet.i, facet.j))
+            points = np.vstack([plane, self._near_junction_points(part, facet, k, rng)])
+            got = perimeter._joint_argmax_mask(part, facet, points)
+            want = oracles.row_major_joint_argmax_mask(part, facet, points)
+            assert np.array_equal(got, want), (facet.i, facet.j)
+            scores = part.scores(points[500:])
+            gap = np.minimum(scores[:, facet.i], scores[:, facet.j]) - scores[:, k]
+            band = np.abs(gap) <= 2.0 * perimeter._JOINT_ARGMAX_TOL
+            inside += int(np.count_nonzero(band & got[500:]))
+            outside += int(np.count_nonzero(band & ~got[500:]))
+        # Rows within the tolerance band, on both sides of its edge.
+        assert inside > 0 and outside > 0
 
 
 class TestPlanarFacets:
@@ -251,7 +299,7 @@ class TestPlanarFacets:
         count = nonzero = 0
         for part in self._random_planar_partitions():
             for facet in interface_facets(part):
-                got = perimeter._planar_facet_fraction(part, facet, facet.offset * facet.normal)
+                got = fractions(part)[(facet.i, facet.j)]
                 want = oracles.line_facet_fraction(part.directions, part.offsets,
                                                    facet.i, facet.j)
                 assert got is not None
@@ -268,7 +316,7 @@ class TestPlanarFacets:
             np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 1.0], [0.0, -4.0]]),
             np.array([0.0, 0.0, -1.0, -1.5, -1.0]), np.zeros(2))
         facet = next(f for f in interface_facets(part) if (f.i, f.j) == (0, 1))
-        got = perimeter._planar_facet_fraction(part, facet, facet.offset * facet.normal)
+        got = fractions(part)[(facet.i, facet.j)]
         assert got == pytest.approx(ndtr(0.5) - ndtr(-0.25), rel=1e-15)
 
     def test_planar_facets_take_no_hyperplane_basis(self, monkeypatch):
@@ -370,7 +418,7 @@ class TestMinkowski:
         got = perimeter._partition_collar_integrand(part, schedule)(x)
         want = oracles.unfiltered_collar_integrand(part, schedule)(x)
         assert np.array_equal(got, want)
-        widest = got.reshape(x.shape[0], part.m + 1, 3)[:, :, 0]
+        widest = got[:, :-1].reshape(x.shape[0], part.m, 3)[:, :, 0]
         for row, (cell, near) in enumerate(expected):
             assert widest[row, cell] == (10.0 if near else 0.0)
 
@@ -428,6 +476,41 @@ class TestMinkowski:
         low = math.sqrt(chi2.ppf(0.005, dof) / dof)
         high = math.sqrt(chi2.ppf(0.995, dof) / dof)
         assert low <= ratio <= high, (ratio, low, high)
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_stderr_is_the_stderr_of_the_per_row_intercept(self, antithetic, monkeypatch):
+        # The reported total and stderr are those of one column: the fitted
+        # intercept of each row's summed collars, so the stderr carries the
+        # covariance between the epsilons that read the same samples.
+        part = perturb(simplicial_cone_partition(4), 0.1, 3)
+        config = cfg(3, samples=100_000, antithetic=antithetic)
+        schedule = [0.1, 0.05, 0.025]
+        report = minkowski_partition_perimeter(part, schedule, config)
+        oracles.use_reference_kernels(monkeypatch)
+        column = mc_mean(config, oracles.unfiltered_collar_integrand(part, schedule),
+                         substream=COLLAR_SUBSTREAM)
+        assert report.estimate == 0.5 * column.mean[-1]
+        assert report.stderr == 0.5 * column.stderr[-1]
+        # Fitting the three epsilon columns of the summed collars as if
+        # independent reads a smaller stderr.
+        integrand = oracles.unfiltered_collar_integrand(part, schedule)
+        totals = mc_mean(config, lambda x: integrand(x)[:, :-1].reshape(-1, 4, 3).sum(axis=1),
+                         substream=COLLAR_SUBSTREAM)
+        naive = perimeter._collar_fit(np.array(schedule), totals.mean, totals.stderr)
+        assert naive[0] == pytest.approx(2.0 * report.estimate, rel=0.05)
+        assert naive[1] < 2.0 * report.stderr
+
+    def test_collar_coefficients_fit_a_weighted_line(self):
+        eps = np.array([0.1, 0.05, 0.025, 0.0125])
+        y = np.array([0.81, 0.77, 0.745, 0.74])
+        intercept, slope = perimeter._collar_coefficients(eps)
+        # np.polyfit weighs residuals by w, i.e. squared residuals by w**2.
+        want_slope, want_intercept = np.polyfit(eps, y, 1, w=np.sqrt(eps))
+        assert intercept @ y == pytest.approx(want_intercept, rel=1e-12)
+        assert slope @ y == pytest.approx(want_slope, rel=1e-12)
+        line = 0.7 + 1.3 * eps
+        assert intercept @ line == pytest.approx(0.7, rel=1e-12)
+        assert slope @ line == pytest.approx(1.3, rel=1e-12)
 
     def test_halfspace_collar_matches_facet(self):
         cell = PartitionCell(half_space_pair(2, 0.0), 0)
