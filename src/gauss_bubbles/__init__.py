@@ -84,6 +84,7 @@ from .discrete import (
     discrete_noise_stability,
     influences,
     plurality_function,
+    plurality_noise_stability,
 )
 from .optimize import (
     OptimizeConfig,

@@ -27,15 +27,17 @@ import numpy as np
 
 from . import __version__
 from .discrete import (
+    DEFAULT_CAPACITY,
     DiscreteFunction,
     clt_crosscheck,
     discrete_noise_stability,
-    plurality_function,
+    plurality_noise_stability,
 )
 from .errors import (
     CalibrationError,
     CapacityError,
     ConfigError,
+    DomainError,
     GaussBubblesError,
     PrecisionError,
 )
@@ -276,20 +278,25 @@ def _cmd_discrete(spec: dict):
     n = int(spec["n"])
     rho = float(spec["rho"])
     name = spec.get("function", "plurality")
+    if n < 1:
+        raise DomainError(f"need at least 1 coordinate, got n={n}")
     if name == "plurality":
-        f = plurality_function(m, n)
+        result = plurality_noise_stability(m, n, rho)
     elif name == "dictator":
+        if m**n > DEFAULT_CAPACITY:
+            raise CapacityError(
+                f"dictator table with {m**n} entries exceeds capacity {DEFAULT_CAPACITY}")
         values = np.zeros((m,) * n + (m,))
-        first = np.indices((m,) * n)[0]
+        first = np.indices((m,) * n, sparse=True)[0]
         for j in range(m):
             values[..., j] = (first == j).astype(float)
-        f = DiscreteFunction(m=m, n=n, values=values)
+        result = discrete_noise_stability(DiscreteFunction(m=m, n=n, values=values), rho)
     elif name.startswith("csv:"):
         path = Path(name.split(":", 1)[1])
         f = DiscreteFunction.from_csv(path.read_text(encoding="utf-8"), m, n)
+        result = discrete_noise_stability(f, rho)
     else:
         raise ConfigError(f"unknown discrete function {name!r}")
-    result = discrete_noise_stability(f, rho)
     results = {"total": result.total, "rho": rho, "exact": result.exact}
     errors = {"total": result.stderr}
     rows = [[j, float(result.per_coordinate[j])] for j in range(m)]

@@ -10,6 +10,13 @@ coordinate keeps its symbol with probability (1 + (m-1)*rho)/m and moves to
 each of the other m-1 symbols with probability (1-rho)/m, which is the
 unique stochastic completion of the move probability and reduces to the
 usual (1+rho)/2 stay probability at m=2.
+
+Plurality's noise stability has a second, table-free path
+(``plurality_noise_stability``): for 0 <= rho <= 1 the kernel keeps each
+symbol with probability rho and otherwise redraws it uniformly, and
+plurality depends only on the vote counts, so the stability is summed over
+the C(n+m-1, m-1) count types instead of the m^n words. For rho < 0 that
+function contracts the dense table.
 """
 from __future__ import annotations
 
@@ -269,6 +276,117 @@ def plurality_function(m: int, n: int, capacity: int = DEFAULT_CAPACITY) -> Disc
     return DiscreteFunction(m=m, n=n, values=np.moveaxis(values, 0, -1))
 
 
+def plurality_noise_stability(
+    m: int, n: int, rho: float, capacity: int = DEFAULT_CAPACITY
+) -> DiscreteStabilityResult:
+    """Noise stability of the plurality rule, summed over vote counts.
+
+    Plurality depends on its word only through the count type b (b_a votes
+    for candidate a), and there are C(n+m-1, m-1) types against m^n words.
+    For 0 <= rho <= 1 the kernel keeps each vote with probability rho and
+    otherwise redraws it uniformly. Given k redrawn votes and the type b of
+    the n - k kept ones, the two plurality vectors are independent with
+    mean g_k(b), the average of plurality over the types b + c of k uniform
+    extra votes. So, per coordinate j,
+
+        S_rho f_j = sum_k Bin(n, 1-rho)(k) sum_b Mult_{n-k}(b) g_{k,j}(b)^2,
+
+    with g_0 = plurality and Pascal's rule g_{k+1}(b) = (1/m) sum_a
+    g_k(b + e_a); the multinomial pmf of the kept types obeys the transposed
+    rule. The cost is O(m * C(n+m, m)). The types are stored compactly, and
+    each array holds at most max(n, m) entries per type; their product with
+    C(n+m-1, m-1) must not exceed ``capacity``, checked before any array is
+    made.
+
+    For rho < 0 the kernel is not such a mixture when m >= 3, so that range
+    contracts the dense table (``discrete_noise_stability``).
+    """
+    NoiseKernel(m=m, rho=rho)  # validates m and rho
+    if n < 1:
+        raise DomainError(f"need at least 1 coordinate, got n={n}")
+    if rho < 0.0:
+        return discrete_noise_stability(plurality_function(m, n, capacity), rho)
+    # types = C(n+m-1, i) at i = min(n, m-1), factor by factor; each step at
+    # least doubles it, so an oversized request stops within ~log2(capacity)
+    types, top, width = 1, max(n, m - 1), max(n, m)
+    for i in range(1, min(n, m - 1) + 1):
+        types = types * (top + i) // i
+        if types * width > capacity:
+            raise CapacityError(
+                f"plurality over at least {types} count types of {n} votes "
+                f"exceeds capacity {capacity}"
+            )
+    # stars[e, i] = C(e + i, i): the number of types of e votes over i + 1
+    # candidates, for e <= n and i < m.
+    stars = np.ones((n + 1, m), dtype=np.int64)
+    for i in range(1, m):
+        np.cumsum(stars[:, i - 1], out=stars[:, i])
+    sizes = stars[:, -1]  # sizes[N]: the number of types of N votes
+    partial, up = _count_types(stars)
+    b = np.diff(partial, prepend=0, append=n)
+    winners = b == b.max(axis=1, keepdims=True)
+    strict = winners.sum(axis=1) == 1
+    g = np.where(strict[:, None], winners, 1.0 / m)
+
+    # mult[N]: the multinomial pmf of the types of N uniform votes.
+    mult = [np.ones(1)]
+    for size in sizes[:-1]:
+        spread = np.broadcast_to(mult[-1] / m, (m, size))
+        mult.append(np.bincount(up[:, :size].ravel(), weights=spread.ravel(),
+                                minlength=sizes[len(mult)]))
+    redrawn = _redrawn_pmf(n, rho)
+    per = np.zeros(m)
+    for k in range(n + 1):
+        if redrawn[k] > 0.0:
+            per += redrawn[k] * np.einsum("r,rj,rj->j", mult[n - k], g, g)
+        if k < n:
+            size = sizes[n - k - 1]
+            nxt = g[up[0, :size]]
+            for a in range(1, m):
+                nxt += g[up[a, :size]]
+            g = nxt / m
+    return DiscreteStabilityResult(rho=rho, per_coordinate=per, total=float(per.sum()), exact=True)
+
+
+def _count_types(stars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every count type of n votes over m candidates, and the rank maps.
+
+    A type b is stored as its partial sums s_i = b_0 + ... + b_i for
+    i < m - 1, a nondecreasing sequence in [0, n]. Rows are in colex order
+    (by the last partial sum, then the one before, ...), in which the types
+    of N <= n votes (s_{m-2} <= N, the last count then N - s_{m-2}) are the
+    first C(N+m-1, m-1) rows, at the rank sum_i C(s_i + i, i + 1) in every
+    level. Adding a vote for candidate a raises s_i for i >= a, so the type
+    b + e_a of N + 1 votes has rank r + sum_{i >= a} C(s_i + i, i):
+    ``up[a, r]``, for the rows r of fewer than n votes.
+    """
+    n, m = stars.shape[0] - 1, stars.shape[1]
+    partial = np.zeros((1, 0), dtype=np.intp)
+    for size in range(1, m):
+        # the sequences whose last entry is e extend the first
+        # stars[e, size - 1] sequences one shorter
+        c = stars[:, size - 1]
+        prefix = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+        partial = np.column_stack([partial[prefix], np.repeat(np.arange(n + 1), c)])
+    rows = partial[: stars[n - 1, -1]]
+    up = np.empty((m, rows.shape[0]), dtype=np.intp)
+    up[m - 1] = np.arange(rows.shape[0])
+    for a in range(m - 2, -1, -1):
+        up[a] = up[a + 1] + stars[rows[:, a], a]
+    return partial, up
+
+
+def _redrawn_pmf(n: int, keep: float) -> np.ndarray:
+    """pmf of the number of redrawn votes, Binomial(n, 1 - keep), by
+    Pascal's recurrence one vote at a time."""
+    pmf = np.zeros(n + 1)
+    pmf[0] = 1.0
+    for t in range(1, n + 1):
+        pmf[1:t + 1] = keep * pmf[1:t + 1] + (1.0 - keep) * pmf[:t]
+        pmf[0] *= keep
+    return pmf
+
+
 @dataclass(frozen=True)
 class CltCrosscheckResult:
     rho: float
@@ -320,15 +438,12 @@ def clt_crosscheck(rho: float, n: int, cfg) -> CltCrosscheckResult:
     halves[0, 0] = 0.0
     halves[0, 0, 0] = 1.0
     halves[0, 1] = 1.0
-    resampled = np.zeros(n + 1)  # pmf of Binomial(n, 1 - keep)
-    resampled[0] = 1.0
     for m in range(1, n + 1):
         prev, cur = halves[m - 1], halves[m]
         np.add(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
         cur[:, 0] = prev[:, 0]
         cur *= 0.5
-        resampled[1:m + 1] = keep * resampled[1:m + 1] + (1.0 - keep) * resampled[:m]
-        resampled[0] *= keep
+    resampled = _redrawn_pmf(n, keep)
     pmf, cdf = halves[:, 0], halves[:, 1]
     # row r, column u: a = h - u kept ones among n - r, p = cdf[r, u]
     split = 2.0 * cdf * (1.0 - cdf)

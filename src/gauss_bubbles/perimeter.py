@@ -251,25 +251,38 @@ def minkowski_perimeter(
     largest epsilon as ``limit``, so only rows within that distance of the
     region are projected exactly; the rest cannot land in any collar. All
     epsilon values share one sample stream, so the table is smooth in
-    epsilon; the bias of the collar is first order in epsilon, and a
-    weighted linear fit returns the intercept.
+    epsilon; the bias of the collar is first order in epsilon. The estimate
+    is the intercept of a line through the collar values against epsilon
+    with fixed weights (``_collar_coefficients``), formed per row in a last
+    column, so its standard error includes the covariance between the
+    epsilon values that read the same samples.
     """
     eps = _check_schedule(eps_schedule)
     if not hasattr(region, "contains") or not hasattr(region, "distance"):
         raise ConfigError("region must provide contains() and distance()")
 
     eps_arr = np.array(eps)
+    k = len(eps)
+    intercept, slope = _collar_coefficients(eps_arr)
 
     def values(x):
         outside = ~region.contains(x)
         dist = region.distance(x, limit=eps[0])
         collar = outside[:, None] & (dist[:, None] < eps_arr[None, :])
-        return collar.astype(float) / eps_arr[None, :]
+        collar = collar.astype(float) / eps_arr[None, :]
+        fit = np.zeros(x.shape[0])
+        for j in range(k):
+            fit += intercept[j] * collar[:, j]
+        return np.column_stack([collar, fit])
 
     res = mc_mean(cfg, values, substream=substream)
-    table = [(eps[k], float(res.mean[k]), float(res.stderr[k])) for k in range(len(eps))]
-    intercept, intercept_err, slope = _collar_fit(eps_arr, res.mean, res.stderr)
-    return MinkowskiReport(estimate=intercept, stderr=intercept_err, table=table, slope=slope)
+    table = [(eps[j], float(res.mean[j]), float(res.stderr[j])) for j in range(k)]
+    return MinkowskiReport(
+        estimate=float(res.mean[k]),
+        stderr=float(res.stderr[k]),
+        table=table,
+        slope=float(slope @ res.mean[:k]),
+    )
 
 
 def _check_schedule(eps_schedule) -> list[float]:
@@ -279,19 +292,6 @@ def _check_schedule(eps_schedule) -> list[float]:
     if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("the epsilon schedule must be strictly decreasing and positive")
     return eps
-
-
-def _collar_fit(eps: np.ndarray, y: np.ndarray, stderr: np.ndarray) -> tuple[float, float, float]:
-    """(intercept, its stderr, slope) of a weighted least-squares line through
-    the collar values against epsilon; the intercept is the eps -> 0 limit."""
-    sig = np.maximum(stderr, 1e-15)
-    w = 1.0 / sig**2
-    sw, sx, sy = w.sum(), (w * eps).sum(), (w * y).sum()
-    sxx, sxy = (w * eps * eps).sum(), (w * eps * y).sum()
-    det = sw * sxx - sx * sx
-    intercept = (sxx * sy - sx * sxy) / det
-    slope = (sw * sxy - sx * sy) / det
-    return float(intercept), math.sqrt(max(sxx / det, 0.0)), float(slope)
 
 
 def minkowski_partition_perimeter(

@@ -220,6 +220,28 @@ def plurality_table(m: int, n: int) -> np.ndarray:
     return values.reshape((m,) * n + (m,))
 
 
+def propeller_noise_stability(rho: float) -> float:
+    """P(X, Y in the same 120-degree sector) for rho-correlated planar
+    Gaussians, from the law of their angle difference.
+
+    The angle difference delta has density f(delta) = (1 - rho^2) / (2 pi)
+    * [1 / (1 - beta^2) + beta * arccos(-beta) / (1 - beta^2)^(3/2)] with
+    beta = rho cos(delta), and the second angle lies in the first one's
+    sector with probability (1 - |delta| / (2 pi / 3))_+ .
+    """
+    width = 2.0 * math.pi / 3.0
+
+    def integrand(delta: float) -> float:
+        beta = rho * math.cos(delta)
+        one = 1.0 - beta * beta
+        density = (1.0 - rho * rho) / (2.0 * math.pi) * (
+            1.0 / one + beta * math.acos(-beta) / one**1.5)
+        return density * (1.0 - delta / width)
+
+    value, _ = quad(integrand, 0.0, width, epsabs=1e-14, epsrel=1e-14, limit=200)
+    return 2.0 * value
+
+
 def noise_kernel_matmul(table: np.ndarray, kernel_matrix: np.ndarray) -> np.ndarray:
     """Product kernel applied as one (m, m) matrix product per axis."""
     out = np.asarray(table, dtype=float)
@@ -389,6 +411,21 @@ def unfiltered_collar_integrand(partition, eps):
         return np.column_stack([out.reshape(x.shape[0], m * k), fit])
 
     return values
+
+
+def collar_fit(eps: np.ndarray, y: np.ndarray, stderr: np.ndarray) -> tuple[float, float, float]:
+    """(intercept, its stderr, slope) of a line through collar values against
+    epsilon, weighted by 1 / stderr^2 as if the epsilon columns were
+    independent; the single-region collar fitted this way before it formed
+    its intercept per row."""
+    sig = np.maximum(stderr, 1e-15)
+    w = 1.0 / sig**2
+    sw, sx, sy = w.sum(), (w * eps).sum(), (w * y).sum()
+    sxx, sxy = (w * eps * eps).sum(), (w * eps * y).sum()
+    det = sw * sxx - sx * sx
+    intercept = (sxx * sy - sx * sxy) / det
+    slope = (sw * sxy - sx * sy) / det
+    return float(intercept), math.sqrt(max(sxx / det, 0.0)), float(slope)
 
 
 def bivariate_normal_cdf_scalar_r(h, k, r: float) -> np.ndarray:

@@ -16,7 +16,7 @@ PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, cwd: Path, env_extra=None):
+def run_cli(args, cwd: Path, env_extra=None, preexec_fn=None):
     """Run ``python -m gauss_bubbles.cli`` in a child process inside ``cwd``.
 
     The child runs in ``cwd`` (a ``tmp_path``), where a relative ``PYTHONPATH``
@@ -32,7 +32,7 @@ def run_cli(args, cwd: Path, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "gauss_bubbles.cli", *args],
-        cwd=cwd, env=env, capture_output=True, text=True,
+        cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
     )
 
 
@@ -70,6 +70,18 @@ class TestBasicCommands:
         summary = json.loads((tmp_path / "discrete_summary.json").read_text())
         assert summary["results"]["total"] == pytest.approx(0.5, abs=1e-12)
         assert summary["results"]["exact"] is True
+
+    @pytest.mark.parametrize("rho", ["0.2", "0.4321", "0.8"])
+    def test_discrete_rows_sum_to_the_total(self, tmp_path, rho):
+        # the discrete benchmark workload's own check, at its m = 3, n = 11
+        code = main(["discrete", "stability", "--m", "3", "--n", "11", "--rho", rho,
+                     "--function", "plurality", "--out-dir", str(tmp_path)])
+        assert code == 0
+        total = json.loads((tmp_path / "discrete_summary.json").read_text())["results"]["total"]
+        with open(tmp_path / "discrete_stability.csv", newline="") as handle:
+            rows = [float(row["value"]) for row in csv.DictReader(handle)]
+        assert len(rows) == 3
+        assert abs(math.fsum(rows) - total) <= 1e-12
 
     def test_symmetric_scan_table(self, tmp_path):
         code = main(["symmetric-scan", "--a", "0.39347", "--kmax", "3",
@@ -139,11 +151,47 @@ class TestErrorPaths:
         assert not out.exists()
 
     def test_capacity_error_exits_3(self, tmp_path):
+        # plurality at rho < 0 on the dense table (4^13 words), and at rho >= 0
+        # beyond the count types' guard (501501 types of 1000 votes, times 1000)
+        for m, n, rho in (("4", "13", "-0.1"), ("3", "1000", "0.1")):
+            out = tmp_path / f"out_{n}"
+            code = main(["discrete", "stability", "--m", m, "--n", n, "--rho", rho,
+                         "--function", "plurality", "--out-dir", str(out)])
+            assert code == 3
+            assert not out.exists()
+
+    @pytest.mark.parametrize("function", ["plurality", "dictator"])
+    def test_discrete_without_coordinates_exits_2(self, tmp_path, function):
         out = tmp_path / "out"
-        code = main(["discrete", "stability", "--m", "4", "--n", "13", "--rho", "0.1",
-                     "--function", "plurality", "--out-dir", str(out)])
-        assert code == 3
+        code = main(["discrete", "stability", "--m", "2", "--n", "0", "--rho", "0.5",
+                     "--function", function, "--out-dir", str(out)])
+        assert code == 2
         assert not out.exists()
+
+    def test_plurality_beyond_the_table_runs_on_counts(self, tmp_path):
+        # 4^13 words exceed the table's capacity; 560 count types do not.
+        code = main(["discrete", "stability", "--m", "4", "--n", "13", "--rho", "0.1",
+                     "--function", "plurality", "--out-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "discrete_summary.json").read_text())
+        assert summary["results"]["exact"] is True
+        assert summary["stderr"] == {"total": 0.0}
+
+    def test_dictator_capacity_checked_before_the_table(self, tmp_path):
+        # 2^24 words: the guard must fire before any table is built. The
+        # child's address space is capped so that a regression ends in a
+        # MemoryError instead of taking gigabytes.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        proc = run_cli(["discrete", "stability", "--m", "2", "--n", "24", "--rho", "0.5",
+                        "--function", "dictator", "--out-dir", str(tmp_path / "out")],
+                       tmp_path, preexec_fn=cap)
+        assert proc.returncode == 3, proc.stderr
+        assert "capacity" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_clt_capacity_error_exits_3(self, tmp_path):
         out = tmp_path / "out"

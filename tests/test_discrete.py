@@ -15,11 +15,19 @@ from gauss_bubbles import (
     clt_crosscheck,
     discrete_noise_stability,
     influences,
+    noise_stability_partition,
     plurality_function,
+    plurality_noise_stability,
+    propeller_partition,
 )
 from gauss_bubbles import discrete
 
 import oracles
+
+
+# Every (m, n) with m^n <= 1e5 and m <= 10; larger m at n = 1 would be an
+# m x m table of over 10^10 entries.
+PLURALITY_CASES = [(m, n) for m in range(2, 11) for n in range(1, 17) if m**n <= 10**5]
 
 
 def dictator(m: int, n: int) -> DiscreteFunction:
@@ -240,9 +248,7 @@ class TestPlurality:
             plurality_function(3, 0)
 
     def test_matches_word_matrix_oracle(self):
-        # every (m, n) with m^n <= 1e5 and m <= 10; larger m at n = 1 would
-        # be an m x m table of over 10^10 entries
-        cases = [(m, n) for m in range(2, 11) for n in range(1, 17) if m**n <= 10**5]
+        cases = PLURALITY_CASES
         assert (2, 16) in cases and (3, 10) in cases and (10, 5) in cases
         for m, n in cases:
             assert np.array_equal(plurality_function(m, n).values,
@@ -255,6 +261,118 @@ class TestPlurality:
         matrix = f.as_matrix()
         assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-12)
         assert matrix.min() >= 0.0
+
+
+class TestPluralityCounts:
+    @pytest.mark.parametrize("m,n", PLURALITY_CASES)
+    def test_matches_table_path(self, m, n):
+        f = plurality_function(m, n)
+        for rho in (0.0, 0.3, 0.7, 0.95, 1.0):
+            counts = plurality_noise_stability(m, n, rho)
+            table = discrete_noise_stability(f, rho)
+            assert counts.exact and counts.stderr == 0.0 and counts.rho == rho
+            assert np.max(np.abs(counts.per_coordinate - table.per_coordinate)) <= 1e-13
+            assert counts.total == float(counts.per_coordinate.sum())
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 6), (3, 5), (4, 4), (5, 3), (7, 2)])
+    def test_endpoints_square_means_and_count_mass(self, m, n):
+        matrix = oracles.plurality_table(m, n).reshape(m**n, m)
+        means = matrix.mean(axis=0)
+        squares = (matrix**2).mean(axis=0)
+        assert np.max(np.abs(plurality_noise_stability(m, n, 0.0).per_coordinate
+                             - means**2)) <= 1e-15
+        assert np.max(np.abs(plurality_noise_stability(m, n, 1.0).per_coordinate
+                             - squares)) <= 1e-15
+
+    @pytest.mark.parametrize("m,n", [(2, 5), (3, 4), (4, 3), (6, 2)])
+    def test_negative_rho_is_the_table_path(self, m, n):
+        f = plurality_function(m, n)
+        for rho in (-1.0 / (m - 1), -0.5 / (m - 1), -1e-3):
+            counts = plurality_noise_stability(m, n, rho)
+            table = discrete_noise_stability(f, rho)
+            assert counts.per_coordinate.tobytes() == table.per_coordinate.tobytes()
+            assert counts.total == table.total
+
+    @pytest.mark.parametrize("n", [1, 3, 101, 1001])
+    def test_two_candidates_are_the_majority_sum(self, n):
+        # At m = 2 and odd n plurality is majority, whose agreement
+        # probability clt_crosscheck sums over binomial counts.
+        config = IntegrationConfig(sample_count=10_000, seed=0, dimension=1,
+                                   chunk_size=10_000)
+        for rho in (0.0, 0.2, 0.5, 0.9, 1.0):
+            total = plurality_noise_stability(2, n, rho).total
+            assert abs(total - clt_crosscheck(rho, n, config).discrete) <= 1e-12
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            plurality_noise_stability(1, 3, 0.5)
+        with pytest.raises(DomainError):
+            plurality_noise_stability(3, 0, 0.5)
+        with pytest.raises(DomainError):
+            plurality_noise_stability(3, 4, -0.6)
+        with pytest.raises(DomainError):
+            plurality_noise_stability(3, 4, 1.1)
+
+    def test_accepts_every_table_size_and_far_beyond(self):
+        cases = [(m, n) for m in range(2, 11) for n in range(1, 24)
+                 if m**n <= discrete.DEFAULT_CAPACITY]
+        assert (2, 23) in cases and (3, 14) in cases and (10, 7) in cases
+        for m, n in cases + [(3, 201)]:
+            result = plurality_noise_stability(m, n, 0.5)
+            assert 1.0 / m - 1e-12 <= result.total <= 1.0
+
+    def test_capacity_guard_counts_types_times_votes(self):
+        # 78 types of 11 votes over 3 candidates, times max(n, m) = 11
+        plurality_noise_stability(3, 11, 0.5, capacity=78 * 11)
+        with pytest.raises(CapacityError):
+            plurality_noise_stability(3, 11, 0.5, capacity=78 * 11 - 1)
+        # 11 types of one vote over 11 candidates, times max(n, m) = 11
+        plurality_noise_stability(11, 1, 0.5, capacity=11 * 11)
+        with pytest.raises(CapacityError):
+            plurality_noise_stability(11, 1, 0.5, capacity=11 * 11 - 1)
+        # rho < 0 keeps the table's own guard
+        with pytest.raises(CapacityError):
+            plurality_noise_stability(3, 11, -0.1, capacity=3**11 - 1)
+
+    @pytest.mark.parametrize("m,n", [(3, 10**7), (2, 10**9), (10**6, 10**6)])
+    def test_capacity_guard_fires_before_allocation(self, m, n):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                plurality_noise_stability(m, n, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+class TestPluralityToPropeller:
+    """Three-candidate plurality tends to the propeller's noise stability as
+    the number of voters grows (the invariance principle)."""
+
+    def test_oracle_value(self):
+        assert abs(oracles.propeller_noise_stability(0.5) - 0.5346378202401305) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8])
+    def test_oracle_matches_monte_carlo(self, rho):
+        config = IntegrationConfig(sample_count=400_000, seed=11, dimension=2,
+                                   chunk_size=100_000)
+        report = noise_stability_partition(propeller_partition(), rho, config)
+        want = oracles.propeller_noise_stability(rho)
+        assert abs(report.total - want) <= 4.0 * report.total_stderr
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5])
+    def test_plurality_at_201_voters_is_near_the_propeller(self, rho):
+        gap = plurality_noise_stability(3, 201, rho).total - oracles.propeller_noise_stability(rho)
+        assert abs(gap) <= 0.01
+
+    @pytest.mark.parametrize("rho", [0.2, 0.5, 0.8])
+    def test_gap_falls_with_the_voter_count(self, rho):
+        want = oracles.propeller_noise_stability(rho)
+        gaps = [abs(plurality_noise_stability(3, n, rho).total - want) for n in (11, 101, 201)]
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestDiscreteFunctionValidation:

@@ -496,9 +496,35 @@ class TestMinkowski:
         integrand = oracles.unfiltered_collar_integrand(part, schedule)
         totals = mc_mean(config, lambda x: integrand(x)[:, :-1].reshape(-1, 4, 3).sum(axis=1),
                          substream=COLLAR_SUBSTREAM)
-        naive = perimeter._collar_fit(np.array(schedule), totals.mean, totals.stderr)
+        naive = oracles.collar_fit(np.array(schedule), totals.mean, totals.stderr)
         assert naive[0] == pytest.approx(2.0 * report.estimate, rel=0.05)
         assert naive[1] < 2.0 * report.stderr
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    def test_region_stderr_is_the_stderr_of_the_per_row_intercept(self, antithetic):
+        # The single-region collar forms its intercept per row as the
+        # partition collar does; its stderr then carries the covariance
+        # between the epsilons, which a fit of independent columns misses.
+        cyl = RoundCylinder(k=1, r=1.0, ambient=3)
+        config = cfg(3, samples=200_000, antithetic=antithetic)
+        schedule = np.array([0.08, 0.04, 0.02])
+        report = minkowski_perimeter(cyl, schedule, config)
+        intercept, slope = perimeter._collar_coefficients(schedule)
+
+        def columns(x):
+            collar = ((~cyl.contains(x))[:, None]
+                      & (cyl.distance(x)[:, None] < schedule[None, :])) / schedule[None, :]
+            return np.column_stack([collar, collar @ intercept])
+
+        want = mc_mean(config, columns, substream=COLLAR_SUBSTREAM)
+        assert [row[1:] for row in report.table] == [
+            (float(want.mean[j]), float(want.stderr[j])) for j in range(3)]
+        assert report.estimate == pytest.approx(want.mean[3], rel=1e-12)
+        assert report.stderr == pytest.approx(want.stderr[3], rel=1e-9)
+        assert report.slope == pytest.approx(slope @ want.mean[:3], rel=1e-12)
+        naive = oracles.collar_fit(schedule, want.mean[:3], want.stderr[:3])
+        assert naive[0] == pytest.approx(report.estimate, rel=0.02)
+        assert naive[1] < report.stderr
 
     def test_collar_coefficients_fit_a_weighted_line(self):
         eps = np.array([0.1, 0.05, 0.025, 0.0125])
