@@ -29,6 +29,7 @@ from . import __version__
 from .discrete import (
     DEFAULT_CAPACITY,
     DiscreteFunction,
+    check_table_capacity,
     clt_crosscheck,
     discrete_noise_stability,
     plurality_noise_stability,
@@ -283,9 +284,7 @@ def _cmd_discrete(spec: dict):
     if name == "plurality":
         result = plurality_noise_stability(m, n, rho)
     elif name == "dictator":
-        if m**n > DEFAULT_CAPACITY:
-            raise CapacityError(
-                f"dictator table with {m**n} entries exceeds capacity {DEFAULT_CAPACITY}")
+        check_table_capacity("dictator", m, n, DEFAULT_CAPACITY)
         values = np.zeros((m,) * n + (m,))
         first = np.indices((m,) * n, sparse=True)[0]
         for j in range(m):

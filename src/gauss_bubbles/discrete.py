@@ -30,7 +30,11 @@ from numpy.random import Generator
 
 from .errors import CapacityError, ConfigError, ContractViolationError, DomainError
 
-#: Largest dense table handled by the exact evaluator.
+#: Capacity of the exact evaluators, in array values. Each guard counts,
+#: before any array is made, what its evaluator allocates: the m^(n+1)
+#: values of a dense table, the 2 m^n values of a contraction's work arrays,
+#: the count types times max(n, m) of the plurality count sum, or the
+#: h + 1 terms of each array of the majority sum.
 DEFAULT_CAPACITY = 10**7
 
 _SIMPLEX_TOL = 1e-12
@@ -236,34 +240,46 @@ def discrete_noise_stability(
 ) -> DiscreteStabilityResult:
     """S_rho f = sum_j E[f_j * (noise kernel applied to f_j)].
 
-    Exact (tensor contraction) when the table has at most ``capacity``
-    entries; beyond that a Monte Carlo pair sampler is used when
+    Exact (tensor contraction) when its work arrays, the kernel's copy of
+    f_j and that copy's product with f_j (2 m^n values), fit in
+    ``capacity``; beyond that a Monte Carlo pair sampler is used when
     ``sample_count`` is given, otherwise the call fails with a capacity
-    error.
+    error before any array is made.
     """
     NoiseKernel(m=f.m, rho=rho)  # validates rho for this alphabet
-    if f.n_entries <= capacity:
+    work = 2 * f.n_entries
+    if work <= capacity:
         return _stability_exact(f, rho)
     if sample_count is None:
         raise CapacityError(
-            f"table with {f.n_entries} entries exceeds capacity {capacity} "
+            f"contraction over {work} values exceeds capacity {capacity} "
             "and no sample_count was given for the Monte Carlo path"
         )
     return _stability_sampled(f, rho, sample_count, seed)
+
+
+def check_table_capacity(name: str, m: int, n: int, capacity: int) -> None:
+    """Raise a capacity error when a dense table over {0..m-1}^n, with its
+    m^(n+1) values, would exceed ``capacity``."""
+    # m^(n+1) >= 2^(n+1) exceeds any capacity of fewer bits, so a long word
+    # never computes the power (or prints its digits)
+    if n + 1 > capacity.bit_length() or m ** (n + 1) > capacity:
+        raise CapacityError(f"{name} table of {m}^{n + 1} values exceeds capacity {capacity}")
 
 
 def plurality_function(m: int, n: int, capacity: int = DEFAULT_CAPACITY) -> DiscreteFunction:
     """The plurality rule as a simplex-valued table.
 
     A strict winner j maps to the basis vector e_j; any tie for the top
-    count maps to the barycenter (1/m, ..., 1/m).
+    count maps to the barycenter (1/m, ..., 1/m). The table and the vote
+    counts behind it hold m^(n+1) values each; that number must not exceed
+    ``capacity``, checked before any array is made.
     """
     if m < 2:
         raise DomainError(f"need at least 2 symbols, got m={m}")
     if n < 1:
         raise DomainError(f"need at least 1 coordinate, got n={n}")
-    if m**n > capacity:
-        raise CapacityError(f"plurality table with {m**n} entries exceeds capacity {capacity}")
+    check_table_capacity("plurality", m, n, capacity)
     # counts[j, w_1, ..., w_k] = #{i : w_i = j}, grown one coordinate at a time;
     # the candidate axis comes first so its m slices are contiguous
     eye = np.eye(m, dtype=np.min_scalar_type(n))
@@ -305,7 +321,8 @@ def plurality_noise_stability(
     if n < 1:
         raise DomainError(f"need at least 1 coordinate, got n={n}")
     if rho < 0.0:
-        return discrete_noise_stability(plurality_function(m, n, capacity), rho)
+        return discrete_noise_stability(plurality_function(m, n, capacity), rho,
+                                        capacity=capacity)
     # types = C(n+m-1, i) at i = min(n, m-1), factor by factor; each step at
     # least doubles it, so an oversized request stops within ~log2(capacity)
     types, top, width = 1, max(n, m - 1), max(n, m)
@@ -400,56 +417,51 @@ class CltCrosscheckResult:
 def clt_crosscheck(rho: float, n: int, cfg) -> CltCrosscheckResult:
     """Noise stability of the two-candidate majority versus its Gaussian limit.
 
-    The partner word keeps each coordinate with probability |rho| (copied
-    for rho >= 0, flipped for rho < 0) and resamples it uniformly otherwise,
-    which gives the stay probability (1+rho)/2. Given r resampled
-    coordinates and a ones among the n - r kept ones, the word's majority is
-    0 with probability p = P(a + Binomial(r, 1/2) <= n//2), and the
-    partner's majority is independent of it given (r, a): equal to it with
-    the same law when rho >= 0, and to its complement, by the flip symmetry
-    of Binomial(r, 1/2), when rho < 0. So the disagreement (rho >= 0) or
-    agreement (rho < 0) probability is E[2 p (1 - p)] over r ~ Binomial(n,
-    1 - |rho|) and a ~ Binomial(n - r, 1/2), summed exactly in O(n^2) from
-    Pascal's recurrence. The value is exactly 1/2 at rho = 0, 1 at rho = 1
-    and 0 at rho = -1. The Gaussian benchmark is the same-side probability
-    of a correlated pair for a half-space of measure 1/2, namely
+    The partner word keeps each coordinate with probability (1+rho)/2 and
+    flips it otherwise. In the +-1 Fourier expansion of Maj_n (O'Donnell,
+    *Analysis of Boolean Functions*, 2014, section 5.3) only the odd levels
+    k = 2j + 1 carry weight, and the agreement probability is
+
+        P(Maj_n(x) = Maj_n(y)) = (1 + sum_k W_k rho^k) / 2.
+
+    With h = n // 2, the level weights are proportional to w_0 = 1 and
+
+        w_{j+1} / w_j = (h - j) (2j + 1)^2 / ((j + 1) (2j + 3) (2(h - j) - 1)),
+
+    taken as one cumulative product; dividing by sum_j w_j (Parseval: the
+    W_k sum to 1) removes the C(2h, h) / 4^h constant. So the sum has h + 1
+    positive terms, and for rho < 0 the odd powers flip its sign. Both sums
+    use the same reduction, so the value is exactly 1 at rho = 1, 0 at
+    rho = -1 and 1/2 at rho = 0. The Gaussian benchmark is the same-side
+    probability of a correlated pair for a half-space of measure 1/2, namely
     1/2 + arcsin(rho)/pi.
 
-    The sum needs about (n+1)^2 floats and fails with a capacity error
-    beyond ``DEFAULT_CAPACITY``. ``cfg`` is accepted for its validated Monte Carlo
-    settings, which do not change the result; ``discrete_stderr`` is 0.
-    Antithetic sampling is still rejected.
+    The sum fails with a capacity error when its h + 1 terms exceed
+    ``DEFAULT_CAPACITY``, before any array is made. ``cfg`` is accepted for
+    its validated Monte Carlo settings, which do not change the result;
+    ``discrete_stderr`` is 0. Antithetic sampling is still rejected.
     """
     if n < 1 or n % 2 == 0:
         raise DomainError("the voter count n must be odd (majority ties are out of scope)")
     if getattr(cfg, "antithetic", False):
         raise ConfigError("antithetic sampling does not apply to the majority cross-check")
     NoiseKernel(m=2, rho=rho)  # validates rho in [-1, 1]
-    if (n + 1) ** 2 > DEFAULT_CAPACITY:
+    h = n // 2
+    if h + 1 > DEFAULT_CAPACITY:
         raise CapacityError(
-            f"majority sum over {(n + 1) ** 2} count pairs exceeds capacity {DEFAULT_CAPACITY}"
+            f"majority sum over {h + 1} Fourier levels exceeds capacity {DEFAULT_CAPACITY}"
         )
 
-    h = n // 2
-    keep = abs(rho)
-    # halves[m, 0, u] and halves[m, 1, u]: pmf and cdf of Binomial(m, 1/2) at
-    # u <= h; both follow x_m[u] = (x_{m-1}[u] + x_{m-1}[u-1]) / 2
-    halves = np.empty((n + 1, 2, h + 1))
-    halves[0, 0] = 0.0
-    halves[0, 0, 0] = 1.0
-    halves[0, 1] = 1.0
-    for m in range(1, n + 1):
-        prev, cur = halves[m - 1], halves[m]
-        np.add(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
-        cur[:, 0] = prev[:, 0]
-        cur *= 0.5
-    resampled = _redrawn_pmf(n, keep)
-    pmf, cdf = halves[:, 0], halves[:, 1]
-    # row r, column u: a = h - u kept ones among n - r, p = cdf[r, u]
-    split = 2.0 * cdf * (1.0 - cdf)
-    split *= pmf[::-1, ::-1]
-    split_mass = float(resampled @ split.sum(axis=1))
-    discrete = 1.0 - split_mass if rho >= 0 else split_mass
+    j = np.arange(h, dtype=float)
+    ratio = (h - j) * (2.0 * j + 1.0) ** 2
+    ratio /= (j + 1.0) * (2.0 * j + 3.0) * (2.0 * (h - j) - 1.0)
+    w = np.empty(h + 1)
+    w[0] = 1.0
+    np.cumprod(ratio, out=w[1:])
+    powers = abs(rho) ** np.arange(1, n + 1, 2, dtype=float)
+    # the same pairwise reduction for both sums keeps stab == 1 at |rho| = 1
+    stab = float((w * powers).sum() / w.sum())
+    discrete = (1.0 + stab) / 2.0 if rho >= 0 else (1.0 - stab) / 2.0
     gaussian = 0.5 + math.asin(rho) / math.pi
     return CltCrosscheckResult(
         rho=rho,

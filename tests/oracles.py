@@ -4,18 +4,21 @@ Everything here is deliberately dumb and slow: quadrature, brute-force
 enumeration, dense scans. None of it shares code with the package paths it
 checks. The reference kernels further down are the exception: they keep
 earlier, simpler forms of package paths (sample streams, argmax labels,
-cell distances, the per-cell exact evaluation), which tests swap in to
-check the faster forms bit for bit; they reuse the package's unchanged
-parts, such as its tolerances and the Phi_3 quadrature.
+cell distances, the per-cell exact evaluation, the Pascal-table majority
+sum), which tests swap in or compare against to check the faster forms;
+they reuse the package's unchanged parts, such as its tolerances, the
+Phi_3 quadrature and the binomial pmf of redrawn votes.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import dblquad, quad
 
+from gauss_bubbles.discrete import _redrawn_pmf
 from gauss_bubbles.exact import _Geometry
 
 
@@ -284,6 +287,22 @@ def majority_agreement_binom(rho: float, n: int) -> float:
     return float(1.0 - 2.0 * np.sum(binom.pmf(k[:, 0], n, 0.5) * below.sum(axis=1)))
 
 
+def majority_agreement_exact(rho: Fraction, n: int) -> Fraction:
+    """(1 + sum_k W_k rho^k) / 2 in exact rational arithmetic (odd n).
+
+    The Fourier coefficient of Maj_n on a set of odd size k is, up to sign,
+    2 C(h, (k-1)/2) C(n-1, h) / (C(n-1, k-1) 2^n) with h = n // 2, and the
+    C(n, k) sets of that size make up the level weight W_k.
+    """
+    h = n // 2
+    total = Fraction(0)
+    for k in range(1, n + 1, 2):
+        coefficient = Fraction(2 * math.comb(h, k // 2) * math.comb(n - 1, h),
+                               math.comb(n - 1, k - 1) * 2**n)
+        total += math.comb(n, k) * coefficient**2 * rho**k
+    return (1 + total) / 2
+
+
 def majority_pair_sampler(rho: float, n: int, sample_count: int, seed: int,
                           chunk_size: int):
     """Monte Carlo estimate and stderr of the majority agreement probability.
@@ -308,6 +327,39 @@ def majority_pair_sampler(rho: float, n: int, sample_count: int, seed: int,
     mean = total / sample_count
     var = mean * (1.0 - mean) * sample_count / max(sample_count - 1, 1)
     return mean, math.sqrt(var / sample_count)
+
+
+def majority_agreement_table(rho: float, n: int) -> float:
+    """The majority agreement probability summed over binomial counts, from
+    an (n+1) x 2 x (n//2+1) Pascal table in O(n^2) (odd n).
+
+    The partner keeps each coordinate with probability |rho| (copied for
+    rho >= 0, flipped for rho < 0) and redraws it otherwise. Given r redrawn
+    coordinates and a ones among the n - r kept ones, the word's majority
+    is 0 with probability p = P(a + Bin(r, 1/2) <= n//2), and the partner's
+    majority is independent of it given (r, a). So the disagreement
+    (rho >= 0) or agreement (rho < 0) probability is E[2 p (1 - p)] over
+    r ~ Bin(n, 1 - |rho|) and a ~ Bin(n - r, 1/2).
+    """
+    h = n // 2
+    # halves[m, 0, u] and halves[m, 1, u]: pmf and cdf of Binomial(m, 1/2) at
+    # u <= h; both follow x_m[u] = (x_{m-1}[u] + x_{m-1}[u-1]) / 2
+    halves = np.empty((n + 1, 2, h + 1))
+    halves[0, 0] = 0.0
+    halves[0, 0, 0] = 1.0
+    halves[0, 1] = 1.0
+    for m in range(1, n + 1):
+        prev, cur = halves[m - 1], halves[m]
+        np.add(prev[:, 1:], prev[:, :-1], out=cur[:, 1:])
+        cur[:, 0] = prev[:, 0]
+        cur *= 0.5
+    resampled = _redrawn_pmf(n, abs(rho))
+    pmf, cdf = halves[:, 0], halves[:, 1]
+    # row r, column u: a = h - u kept ones among n - r, p = cdf[r, u]
+    split = 2.0 * cdf * (1.0 - cdf)
+    split *= pmf[::-1, ::-1]
+    split_mass = float(resampled @ split.sum(axis=1))
+    return 1.0 - split_mass if rho >= 0 else split_mass
 
 
 def argmax_labels(partition, points):

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gauss_bubbles.cli import main
+from gauss_bubbles import CapacityError
+from gauss_bubbles.cli import _cmd_discrete, main
 
 PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -110,7 +111,7 @@ class TestBasicCommands:
         # The summaries echo their specs; everything else is identical.
         assert first["spec"] != second["spec"]
         assert (first["results"], first["stderr"]) == (second["results"], second["stderr"])
-        assert first["results"]["discrete"] == 0.6667585089331979
+        assert first["results"]["discrete"] == 0.666758508933198
         assert first["stderr"] == {"discrete": 0.0}
         assert files_a["clt-crosscheck_crosscheck.csv"] == files_b["clt-crosscheck_crosscheck.csv"]
 
@@ -193,9 +194,40 @@ class TestErrorPaths:
         assert "capacity" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("function", ["plurality", "dictator"])
+    @pytest.mark.parametrize("m,n,rho", [("1000", "2", "-0.001"), ("3", "100000", "-0.1")])
+    def test_oversized_table_exits_3_under_a_memory_cap(self, tmp_path, function, m, n, rho):
+        # 1000^2 words fit DEFAULT_CAPACITY, but the table holds 1000^3 values;
+        # 3^100001 has more digits than Python will print
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        proc = run_cli(["discrete", "stability", "--m", m, "--n", n, "--rho", rho,
+                        "--function", function, "--out-dir", str(tmp_path / "out")],
+                       tmp_path, preexec_fn=cap)
+        assert proc.returncode == 3, proc.stderr
+        assert "capacity" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_dictator_guard_fires_before_allocation(self):
+        # 2^23 words fit DEFAULT_CAPACITY, the 2^24 table values do not
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                _cmd_discrete({"m": 2, "n": 23, "rho": 0.5, "function": "dictator"})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_clt_capacity_error_exits_3(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["clt-crosscheck", "--rho", "0.5", "--n", "3163", "--samples", "1e4",
+        # 10^7 + 1 Fourier levels exceed DEFAULT_CAPACITY
+        code = main(["clt-crosscheck", "--rho", "0.5", "--n", "20000001", "--samples", "1e4",
                      "--seed", "1", "--out-dir", str(out)])
         assert code == 3
         assert not out.exists()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,25 @@ class TestDiscreteStability:
         with pytest.raises(CapacityError):
             discrete_noise_stability(f, 0.5, capacity=16)
 
+    def test_capacity_guard_counts_the_two_work_arrays(self):
+        f = plurality_function(3, 4)  # 2 * 3^4 = 162 work values
+        discrete_noise_stability(f, 0.5, capacity=162)
+        with pytest.raises(CapacityError):
+            discrete_noise_stability(f, 0.5, capacity=161)
+
+    def test_capacity_guard_fires_before_allocation(self):
+        import tracemalloc
+
+        f = plurality_function(2, 16)  # work arrays of 2^16 floats, 512 KiB each
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                discrete_noise_stability(f, 0.5, capacity=2 * 2**16 - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_sampler_agrees_with_exact(self):
         f = plurality_function(3, 3)
         exact = discrete_noise_stability(f, 0.4)
@@ -240,6 +261,27 @@ class TestPlurality:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             plurality_function(2, 10, capacity=100)
+        # the table holds m^(n+1) values, not m^n
+        plurality_function(2, 10, capacity=2**11)
+        with pytest.raises(CapacityError):
+            plurality_function(2, 10, capacity=2**11 - 1)
+        with pytest.raises(CapacityError):
+            plurality_function(100, 2, capacity=100**2)
+
+    @pytest.mark.parametrize("m,n", [(2, 23), (3, 14)])
+    def test_capacity_guard_fires_before_allocation(self, m, n):
+        # m^n fits DEFAULT_CAPACITY, the m^(n+1) table values do not
+        import tracemalloc
+
+        assert m**n <= discrete.DEFAULT_CAPACITY < m ** (n + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                plurality_function(m, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -296,7 +338,7 @@ class TestPluralityCounts:
     @pytest.mark.parametrize("n", [1, 3, 101, 1001])
     def test_two_candidates_are_the_majority_sum(self, n):
         # At m = 2 and odd n plurality is majority, whose agreement
-        # probability clt_crosscheck sums over binomial counts.
+        # probability clt_crosscheck sums over Fourier levels.
         config = IntegrationConfig(sample_count=10_000, seed=0, dimension=1,
                                    chunk_size=10_000)
         for rho in (0.0, 0.2, 0.5, 0.9, 1.0):
@@ -460,10 +502,43 @@ class TestCltCrosscheck:
                 assert 0.0 <= clt_crosscheck(float(rho), n, self.cfg()).discrete <= 1.0
 
     def test_capacity_guard(self, monkeypatch):
-        with pytest.raises(CapacityError):
-            clt_crosscheck(0.5, 3163, self.cfg())  # (n+1)^2 > DEFAULT_CAPACITY
-        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 102**2 - 1)
+        import tracemalloc
+
+        # n // 2 + 1 Fourier levels against DEFAULT_CAPACITY, before any array
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                clt_crosscheck(0.5, 2 * discrete.DEFAULT_CAPACITY + 1, self.cfg())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 50)
         with pytest.raises(CapacityError):
             clt_crosscheck(0.5, 101, self.cfg())
-        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 102**2)
+        monkeypatch.setattr(discrete, "DEFAULT_CAPACITY", 51)
         clt_crosscheck(0.5, 101, self.cfg())
+
+    @pytest.mark.parametrize("n", [1, 3, 101, 1001, 3161])
+    def test_matches_pascal_table_sum(self, n):
+        for rho in np.linspace(-1.0, 1.0, 9):
+            result = clt_crosscheck(float(rho), n, self.cfg())
+            want = oracles.majority_agreement_table(float(rho), n)
+            assert abs(result.discrete - want) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 3, 11, 101, 1001])
+    def test_matches_exact_fourier_sum(self, n):
+        # dyadic rho, so the float argument is the rational one
+        for rho in (Fraction(-7, 8), Fraction(-1, 4), Fraction(1, 16), Fraction(1, 2),
+                    Fraction(3, 4), Fraction(15, 16)):
+            want = oracles.majority_agreement_exact(rho, n)
+            got = clt_crosscheck(float(rho), n, self.cfg()).discrete
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**15)
+
+    def test_voter_count_times_gap_converges(self):
+        # gap = O(1/n): n * gap settles, with corrections of order 1/n
+        scaled = [n * clt_crosscheck(0.5, n, self.cfg()).gap
+                  for n in (10**3 + 1, 10**5 + 1, 10**6 + 1)]
+        assert 0.0 < scaled[2] < scaled[1] < scaled[0]
+        assert scaled[0] - scaled[2] <= 1e-4
+        assert scaled[1] - scaled[2] <= 1e-6
