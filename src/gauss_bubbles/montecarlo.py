@@ -9,12 +9,16 @@ than by Box-Muller; with ``antithetic=True`` the second half of every chunk
 is the exact reflection ``-X`` of the first half, so antithetic pairs cancel
 odd integrands exactly.
 
-``mc_mean`` reduces each chunk to column sums and sums of squares. Integrands
-over the cells of a partition (volumes, moment vectors, noise stability) use
-its grouped form: they label each row with its cell, and each chunk sums the
-values of every cell over that cell's rows only, instead of summing a dense
-one-hot product that is zero almost everywhere. Both forms give the same
-bits.
+``mc_mean`` reduces each chunk to column sums and sums of squares. A chunk
+is drawn, evaluated and reduced one row tile at a time: it holds the tile's
+samples and integrand values and the running sums, which continue row after
+row exactly as a sum over the whole chunk would, never an array as long as
+the chunk (except the observations of an ungrouped one-column integrand,
+which numpy sums pairwise over the whole chunk). Integrands over the cells
+of a partition (volumes, moment vectors, noise stability) use its grouped
+form: they label each row with its cell, and each chunk sums the values of
+every cell over that cell's rows only, instead of summing a dense one-hot
+product that is zero almost everywhere. Both forms give the same bits.
 
 Conventions used throughout the package:
 
@@ -79,6 +83,12 @@ THREADS_ENV_VAR = "GAUSS_BUBBLES_THREADS"
 # 2**16 coordinates keep the integrands' products on the calling thread
 # for m <= 8.
 _TILE_COORDINATES = 2**16
+
+# Observation rows per batch of a running sum (see _RunningSums): two
+# batches of 2048 rows of q columns stay in cache, and on 2 cores folding
+# and summing a collar tile of 10922 x 13 values ran fastest at 2048 rows,
+# about a fifth faster than in one batch.
+_CARRY_ROWS = 2048
 
 # Marks the threads of a map_chunks pool, so nested calls run serially.
 _POOL_THREAD = threading.local()
@@ -172,39 +182,55 @@ def _bit_generator(seed: int, substream: int, chunk: int) -> Philox:
     return Philox(key=[seed, (substream << 32) | chunk])
 
 
-def _uniform_chunk(cfg: IntegrationConfig, substream: int, chunk: int, columns: int, rows: int):
-    u = Generator(_bit_generator(cfg.seed, substream, chunk)).random((rows, columns))
-    np.maximum(u, _U_FLOOR, out=u)
-    return u
+def _sample_tiles(cfg: IntegrationConfig, substream: int, chunk: int,
+                  pair_rho: float | None = None, tile: int | None = None) -> Iterator[tuple]:
+    """One chunk's sample rows, drawn tile by tile: ``(x,)`` blocks of
+    standard normal rows, or ``(x, y)`` blocks of rho-correlated pairs,
+    Y = rho*X + sqrt(1-rho^2)*Z, when ``pair_rho`` is given.
+
+    Each tile is drawn as Philox uniforms, floored at ``_U_FLOOR`` and
+    passed through ``ndtri``. Philox is counter-based, so successive draws
+    from the chunk's generator continue its stream exactly: the rows are the
+    chunk's rows in order, to the bit, whatever the tile. A tile holds at
+    most ``tile`` rows, the whole chunk when ``tile`` is None. With
+    antithetic sampling it holds ``tile // 2`` drawn rows followed by their
+    reflections, so the tiles carry the chunk's pairs in order and the whole
+    chunk is one block [x; -x].
+    """
+    d = cfg.dimension
+    columns = d if pair_rho is None else 2 * d
+    rows = cfg.chunk_size // 2 if cfg.antithetic else cfg.chunk_size
+    step = rows if tile is None else (tile // 2 if cfg.antithetic else tile)
+    generator = Generator(_bit_generator(cfg.seed, substream, chunk))
+    for start in range(0, rows, step):
+        u = generator.random((min(step, rows - start), columns))
+        np.maximum(u, _U_FLOOR, out=u)
+        g = ndtri(u, out=u)
+        if cfg.antithetic:
+            g = np.concatenate([g, -g], axis=0)
+        if pair_rho is None:
+            yield (g,)
+            continue
+        # Y is formed in place over Z, in the block's second d columns, column
+        # by column: numpy updates the strided (rows, d) block in place with
+        # an inner loop d long, which runs nearly twice as slowly.
+        x, y = g[:, :d], g[:, d:]
+        scale = math.sqrt(1.0 - pair_rho * pair_rho)
+        for k in range(d):
+            column = y[:, k]
+            column *= scale
+            column += pair_rho * x[:, k]
+        yield x, y
 
 
-def _normal_chunk(cfg: IntegrationConfig, substream: int, chunk: int, columns: int):
-    """One chunk of standard normal rows; reflected pairs when antithetic."""
-    if cfg.antithetic:
-        u = _uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size // 2)
-        half = ndtri(u, out=u)
-        return np.concatenate([half, -half], axis=0)
-    u = _uniform_chunk(cfg, substream, chunk, columns, cfg.chunk_size)
-    return ndtri(u, out=u)
+def _normal_chunk(cfg: IntegrationConfig, substream: int, chunk: int) -> np.ndarray:
+    """One whole chunk of standard normal rows, [x; -x] when antithetic."""
+    return next(_sample_tiles(cfg, substream, chunk))[0]
 
 
 def _pair_chunk(cfg: IntegrationConfig, rho: float, substream: int, chunk: int):
-    """One chunk of rho-correlated pairs (X, Y), Y = rho*X + sqrt(1-rho^2)*Z.
-
-    Y is formed in place over Z, in the chunk's second d columns; X and Y
-    are views of that one array.
-    """
-    d = cfg.dimension
-    g = _normal_chunk(cfg, substream, chunk, 2 * d)
-    x, y = g[:, :d], g[:, d:]
-    scale = math.sqrt(1.0 - rho * rho)
-    # Column by column: numpy updates the strided (rows, d) block in place
-    # with an inner loop d long, which runs nearly twice as slowly.
-    for k in range(d):
-        column = y[:, k]
-        column *= scale
-        column += rho * x[:, k]
-    return x, y
+    """One whole chunk of rho-correlated pairs (X, Y), views of one array."""
+    return next(_sample_tiles(cfg, substream, chunk, pair_rho=rho))
 
 
 @dataclass(frozen=True)
@@ -228,9 +254,12 @@ def mc_mean(
     ``value_fn`` receives a block of samples with shape (n, dimension) and
     must return per-sample values of shape (n,) or (n, q). It must be
     row-wise: row k of its output depends only on row k of its input, because
-    each chunk is passed to it in row tiles of at most ``_tile_rows(d)``
-    rows, about 2**16 sample coordinates. The tiles are reassembled into the
-    chunk's full value array, so results do not depend on the tile size.
+    each chunk is drawn, evaluated and reduced in row tiles of at most
+    ``_tile_rows(d)`` rows, about 2**16 sample coordinates. A chunk holds one
+    tile at a time and the running column sums and sums of squares of its
+    observations, continued tile by tile in row order, so the results do not
+    depend on the tile size. The one chunk-long array is the column of an
+    ungrouped integrand with a single column, which numpy sums pairwise.
     Antithetic pairs are folded into single observations before the moments
     are accumulated.
 
@@ -249,35 +278,10 @@ def mc_mean(
     tile = _tile_rows(cfg.dimension)
 
     def work(chunk: int):
-        if pair_rho is None:
-            blocks = (_normal_chunk(cfg, substream, chunk, cfg.dimension),)
-        else:
-            blocks = _pair_chunk(cfg, pair_rho, substream, chunk)
-        rows = cfg.chunk_size
-        labels = v = None
-        for start in range(0, rows, tile):
-            stop = min(start + tile, rows)
-            out = value_fn(*(b[start:stop] for b in blocks))
-            if groups is not None:
-                labels = _place(labels, start, stop, rows, np.asarray(out[0], dtype=np.intp))
-                out = out[1]
-                if out is None:
-                    continue
-            v = _place(v, start, stop, rows, np.asarray(out, dtype=float))
-        if v is not None and v.ndim == 1:
-            v = v[:, None]
-        if groups is not None:
-            return _grouped_sums(labels, v, groups, cfg.antithetic)
-        if cfg.antithetic:
-            # 0.5 * (v(x) + v(-x)), formed in the chunk's own buffer.
-            h = v.shape[0] // 2
-            v[:h] += v[h:]
-            v = v[:h]
-            v *= 0.5
-        # numpy sums a lone column pairwise; for two or more columns
-        # sum(axis=0) adds row by row, as the einsum does several times faster.
-        total = v.sum(axis=0) if v.shape[1] == 1 else np.einsum("ij->j", v)
-        return total, np.einsum("ij,ij->j", v, v)
+        sums = _ChunkSums(cfg) if groups is None else _GroupedSums(groups, cfg.antithetic)
+        for blocks in _sample_tiles(cfg, substream, chunk, pair_rho, tile):
+            sums.add(value_fn(*blocks))
+        return sums.result()
 
     parts = map_chunks(work, cfg.n_chunks)
     total = parts[0][0].copy()
@@ -296,63 +300,192 @@ def mc_mean(
     return MeanResult(mean=mean, stderr=stderr, n_observations=n)
 
 
-def _place(buf, start: int, stop: int, rows: int, tile: np.ndarray) -> np.ndarray:
-    """Copy one tile's output into the chunk-sized buffer, made on first use."""
-    if buf is None:
-        buf = np.empty((rows,) + tile.shape[1:], dtype=tile.dtype)
-    buf[start:stop] = tile
-    return buf
+def _as_columns(values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    return v[:, None] if v.ndim == 1 else v
 
 
-def _grouped_sums(labels: np.ndarray, v, k: int, antithetic: bool):
-    """Per-group sums and sums of squares of one chunk, (k + 1) * q columns."""
-    if np.any((labels < 0) | (labels > k)):
-        raise ContractViolationError(f"group labels must lie in [0, {k}]")
-    parts = [_masked_sums(labels == g, v, antithetic) for g in range(k)]
-    parts.append(_masked_sums(labels < k, v, antithetic))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+def _fold(v: np.ndarray, reflected: np.ndarray | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (v(x) + v(-x)): one observation per antithetic pair, from a tile
+    [x; -x] or from its two halves ``v`` and ``reflected``."""
+    if reflected is None:
+        h = v.shape[0] // 2
+        v, reflected = v[:h], v[h:]
+    out = np.add(v, reflected, out=out)
+    out *= 0.5
+    return out
 
 
-def _masked_sums(member: np.ndarray, v, antithetic: bool):
-    """Sum and sum of squares of ``v * member`` over one chunk's observations.
+class _RunningSums:
+    """Column sums and sums of squares of ``blocks`` streams of observation
+    rows, each added one row after another and continued from tile to tile.
 
-    Only member rows are visited. Rows outside the mask contribute exact
-    zeros to the per-row path's sequential sums, so skipping them changes no
-    bit. With antithetic pairs a pair is kept when either half is a member,
-    and it is folded as 0.5 * (v(x) + v(-x)) exactly as the per-row path does.
+    Two or more columns are added by ``einsum``, a lone column by
+    ``cumsum``, because numpy would sum it pairwise. Rows are summed
+    ``_CARRY_ROWS`` at a time, each batch carrying its block's running sum
+    in as its first row, and the running sum of squares beside a first row
+    of ones, so the sums keep the bits of one sequential pass over all of
+    the block's rows. ``einsum`` starts from +0, so the first batch's
+    carried row of zeros changes no bit either. Every batch is formed in
+    the same two small buffers, which stay in cache.
     """
-    if antithetic:
-        h = member.size // 2
-        first, second = member[:h], member[h:]
-        if v is None:
-            # Folded indicators are 0.5 or 1; these sums are exact in floats.
-            hits = np.count_nonzero(first) + np.count_nonzero(second)
-            both = np.count_nonzero(first & second)
-            return np.array([0.5 * hits]), np.array([0.25 * hits + 0.5 * both])
-        if first.all() and second.all():
-            obs = 0.5 * (v[:h] + v[h:])
+
+    def __init__(self, blocks: int):
+        self.total = [None] * blocks
+        self.total_sq = [None] * blocks
+        self._carried = self._ones = None
+
+    def add(self, block: int, v: np.ndarray, fold: bool = False) -> None:
+        """Continue ``block``'s sums over the rows of ``v``, or over its
+        folded pairs ``_fold(v)`` when ``fold``."""
+        h = v.shape[0] // 2
+        n, q = (h if fold else v.shape[0]), v.shape[1]
+        if n == 0:
+            return
+        if q == 1:
+            self._add_column(block, _fold(v) if fold else v)
+            return
+        if self._carried is None:
+            self._carried = np.empty((_CARRY_ROWS + 1, q))
+            self._ones = np.empty((_CARRY_ROWS + 1, q))
+            self._ones[0] = 1.0
+        for start in range(0, n, _CARRY_ROWS):
+            stop = min(start + _CARRY_ROWS, n)
+            carried = self._carried[:stop - start + 1]
+            ones = self._ones[:stop - start + 1]
+            if fold:
+                _fold(v[start:stop], v[h + start:h + stop], out=carried[1:])
+            else:
+                carried[1:] = v[start:stop]
+            ones[1:] = carried[1:]
+            total, total_sq = self.total[block], self.total_sq[block]
+            carried[0] = 0.0 if total is None else total
+            self.total[block] = np.einsum("ij->j", carried)
+            carried[0] = 0.0 if total_sq is None else total_sq
+            self.total_sq[block] = np.einsum("ij,ij->j", ones, carried)
+
+    def _add_column(self, block: int, obs: np.ndarray) -> None:
+        sq = obs * obs
+        if self.total[block] is not None:
+            obs = np.concatenate([self.total[block][None], obs])
+            sq = np.concatenate([self.total_sq[block][None], sq])
+        self.total[block] = np.cumsum(obs, axis=0)[-1]
+        self.total_sq[block] = np.cumsum(sq, axis=0)[-1]
+
+    def sums(self, q: int):
+        """Every block's sums and sums of squares, q columns each; zeros for
+        a block that saw no rows."""
+        zeros = np.zeros(q)
+        return (np.concatenate([zeros if s is None else s for s in self.total]),
+                np.concatenate([zeros if s is None else s for s in self.total_sq]))
+
+
+class _ChunkSums:
+    """Sums and sums of squares of one chunk's observations, q columns, fed
+    one tile of integrand values at a time."""
+
+    def __init__(self, cfg: IntegrationConfig):
+        self.antithetic = cfg.antithetic
+        self.observations = cfg.chunk_size // 2 if cfg.antithetic else cfg.chunk_size
+        self.running = _RunningSums(1)
+        self.column = None
+        self.filled = 0
+        self.q = 0
+
+    def add(self, values) -> None:
+        v = _as_columns(values)
+        self.q = v.shape[1]
+        if self.q > 1:
+            self.running.add(0, v, fold=self.antithetic)
+            return
+        if self.column is None:
+            self.column = np.empty((self.observations, 1))
+        n = v.shape[0] // 2 if self.antithetic else v.shape[0]
+        rows = self.column[self.filled:self.filled + n]
+        if self.antithetic:
+            _fold(v, out=rows)
         else:
-            # Form 0.5 * (v(x) + v(-x)) with the non-member half read as 0.
-            rows = np.flatnonzero(first | second)
-            obs = v.take(rows, axis=0)
-            in_first, in_second = first[rows], second[rows]
-            only_second = ~in_first
-            obs[only_second] = v.take(h + rows[only_second], axis=0)
-            both = in_first & in_second
-            obs[both] += v.take(h + rows[both], axis=0)
-            obs *= 0.5
-    else:
-        if v is None:
-            hits = float(np.count_nonzero(member))
-            return np.array([hits]), np.array([hits])
-        obs = v if member.all() else np.compress(member, v, axis=0)
-    if obs.shape[1] == 1 and obs.shape[0] > 0:
-        # numpy sums a lone contiguous column pairwise, but the per-row path's
-        # one-hot product is wider and summed row by row, as cumsum does.
-        return np.cumsum(obs, axis=0)[-1], np.cumsum(obs * obs, axis=0)[-1]
-    # For two or more columns both einsums add row by row, like the per-row
-    # path's sum(axis=0), and run several times faster than it.
-    return np.einsum("ij->j", obs), np.einsum("ij,ij->j", obs, obs)
+            rows[...] = v
+        self.filled += n
+
+    def result(self):
+        if self.column is None:
+            return self.running.sums(self.q)
+        # numpy sums a lone contiguous column pairwise, over the whole chunk.
+        return self.column.sum(axis=0), np.einsum("ij,ij->j", self.column, self.column)
+
+
+class _GroupedSums:
+    """Per-group sums and sums of squares of one chunk, (k + 1) * q columns,
+    fed one tile of ``(labels, values)`` at a time."""
+
+    def __init__(self, k: int, antithetic: bool):
+        self.k = k
+        self.antithetic = antithetic
+        self.running = _RunningSums(k + 1)
+        self.hits = [0] * (k + 1)
+        self.both = [0] * (k + 1)
+        self.q = None
+
+    def add(self, out) -> None:
+        labels = np.asarray(out[0], dtype=np.intp)
+        if np.any((labels < 0) | (labels > self.k)):
+            raise ContractViolationError(f"group labels must lie in [0, {self.k}]")
+        members = [labels == g for g in range(self.k)]
+        members.append(labels < self.k)
+        if out[1] is None:
+            self._count(members)
+            return
+        v = _as_columns(out[1])
+        self.q = v.shape[1]
+        for g, member in enumerate(members):
+            self.running.add(g, _member_observations(member, v, self.antithetic))
+
+    def _count(self, members) -> None:
+        for g, member in enumerate(members):
+            if self.antithetic:
+                h = member.size // 2
+                first, second = member[:h], member[h:]
+                self.hits[g] += np.count_nonzero(first) + np.count_nonzero(second)
+                self.both[g] += np.count_nonzero(first & second)
+            else:
+                self.hits[g] += np.count_nonzero(member)
+
+    def result(self):
+        if self.q is not None:
+            return self.running.sums(self.q)
+        # Folded indicators are 0.5 or 1; these sums are exact in floats.
+        hits = np.array(self.hits, dtype=float)
+        if not self.antithetic:
+            return hits, hits.copy()
+        return 0.5 * hits, 0.25 * hits + 0.5 * np.array(self.both, dtype=float)
+
+
+def _member_observations(member: np.ndarray, v: np.ndarray, antithetic: bool) -> np.ndarray:
+    """The observations of ``v * member`` in one tile that can be nonzero.
+
+    Only member rows are kept. Rows outside the mask contribute exact zeros
+    to the per-row path's sequential sums, so skipping them changes no bit.
+    With antithetic pairs a pair is kept when either half is a member, and
+    it is folded as 0.5 * (v(x) + v(-x)) with the non-member half read as 0,
+    exactly as the per-row path does.
+    """
+    if not antithetic:
+        return v if member.all() else np.compress(member, v, axis=0)
+    h = member.size // 2
+    first, second = member[:h], member[h:]
+    if first.all() and second.all():
+        return _fold(v)
+    rows = np.flatnonzero(first | second)
+    obs = v.take(rows, axis=0)
+    in_first, in_second = first[rows], second[rows]
+    only_second = ~in_first
+    obs[only_second] = v.take(h + rows[only_second], axis=0)
+    both = in_first & in_second
+    obs[both] += v.take(h + rows[both], axis=0)
+    obs *= 0.5
+    return obs
 
 
 def gaussian_density(x, k: int | None = None) -> float:
@@ -372,7 +505,7 @@ def gaussian_density(x, k: int | None = None) -> float:
 def sample_standard_normal(cfg: IntegrationConfig) -> Iterator[np.ndarray]:
     """Stream of standard normal sample blocks, one array per chunk."""
     for chunk in range(cfg.n_chunks):
-        yield _normal_chunk(cfg, MAIN_SUBSTREAM, chunk, cfg.dimension)
+        yield _normal_chunk(cfg, MAIN_SUBSTREAM, chunk)
 
 
 def sample_correlated_pairs(rho: float, cfg: IntegrationConfig) -> Iterator[tuple]:

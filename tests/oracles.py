@@ -416,16 +416,44 @@ def pair_chunk(cfg, rho, substream, chunk):
     return x, rho * x + math.sqrt(1.0 - rho * rho) * g[:, d:]
 
 
-def use_reference_kernels(monkeypatch):
+def sample_tiles(cfg, substream, chunk, pair_rho=None, tile=None):
+    """One chunk of the package's sample stream in the tiles of
+    ``montecarlo._sample_tiles``, cut from the whole-chunk draws above: rows
+    [start, stop) of the chunk, or with antithetic pairs rows [start, stop)
+    of each half, first half first."""
+    if pair_rho is None:
+        blocks = (normal_chunk(cfg, substream, chunk, cfg.dimension),)
+    else:
+        blocks = pair_chunk(cfg, pair_rho, substream, chunk)
+    rows = cfg.chunk_size // 2 if cfg.antithetic else cfg.chunk_size
+    step = rows if tile is None else (tile // 2 if cfg.antithetic else tile)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        if cfg.antithetic:
+            yield tuple(np.concatenate([b[start:stop], b[rows + start:rows + stop]])
+                        for b in blocks)
+        else:
+            yield tuple(b[start:stop] for b in blocks)
+
+
+def use_reference_kernels(monkeypatch) -> list:
     """Swap the reference kernels above into the package: the sample
-    streams, argmax labels and the per-projector distance loop."""
+    tiles, argmax labels and the per-projector distance loop. Returns a
+    list that gets one (substream, chunk) entry per chunk the reference
+    sampler draws, so a caller can check that the package drew through it."""
     from gauss_bubbles import montecarlo
     from gauss_bubbles.partitions import AffinePartition, PartitionCell
 
-    monkeypatch.setattr(montecarlo, "_normal_chunk", normal_chunk)
-    monkeypatch.setattr(montecarlo, "_pair_chunk", pair_chunk)
+    drawn = []
+
+    def reference_tiles(cfg, substream, chunk, pair_rho=None, tile=None):
+        drawn.append((substream, chunk))
+        return sample_tiles(cfg, substream, chunk, pair_rho, tile)
+
+    monkeypatch.setattr(montecarlo, "_sample_tiles", reference_tiles)
     monkeypatch.setattr(AffinePartition, "classify_points", argmax_labels)
     monkeypatch.setattr(PartitionCell, "distance", projector_loop_distance)
+    return drawn
 
 
 def unfiltered_collar_integrand(partition, eps):

@@ -13,6 +13,8 @@ import pytest
 from gauss_bubbles import CapacityError
 from gauss_bubbles.cli import _cmd_discrete, main
 
+import oracles
+
 PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
@@ -210,6 +212,25 @@ class TestErrorPaths:
         assert proc.returncode == 3, proc.stderr
         assert "capacity" in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    def test_one_chunk_of_forty_million_pairs_runs_under_a_memory_cap(self, tmp_path):
+        # 40000001 is no multiple of the default chunk, so every pair is in
+        # one chunk. Whole-chunk arrays of it (305 MiB a column) ended in a
+        # MemoryError traceback under this cap; tiles fit in a few MiB.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        out = tmp_path / "out"
+        proc = run_cli(["noise-stability", "--partition", "propeller3", "--rho", "0.5",
+                        "--samples", "40000001", "--seed", "1", "--out-dir", str(out)],
+                       tmp_path, preexec_fn=cap)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((out / "noise-stability_summary.json").read_text())
+        total, stderr = summary["results"]["total"], summary["stderr"]["total"]
+        assert 0.0 < stderr < 1e-4
+        assert abs(total - oracles.propeller_noise_stability(0.5)) <= 4.0 * stderr
 
     def test_dictator_guard_fires_before_allocation(self):
         # 2^23 words fit DEFAULT_CAPACITY, the 2^24 table values do not

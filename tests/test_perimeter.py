@@ -379,9 +379,10 @@ class TestMinkowski:
         got = mc_mean(config, perimeter._partition_collar_integrand(part, schedule),
                       substream=COLLAR_SUBSTREAM)
         # The reference runs on the reference sample stream as well.
-        oracles.use_reference_kernels(monkeypatch)
+        drawn = oracles.use_reference_kernels(monkeypatch)
         want = mc_mean(config, oracles.unfiltered_collar_integrand(part, schedule),
                        substream=COLLAR_SUBSTREAM)
+        assert len(drawn) == config.n_chunks
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(got.stderr, want.stderr)
         assert np.any(got.mean > 0.0)
@@ -486,9 +487,10 @@ class TestMinkowski:
         config = cfg(3, samples=100_000, antithetic=antithetic)
         schedule = [0.1, 0.05, 0.025]
         report = minkowski_partition_perimeter(part, schedule, config)
-        oracles.use_reference_kernels(monkeypatch)
+        drawn = oracles.use_reference_kernels(monkeypatch)
         column = mc_mean(config, oracles.unfiltered_collar_integrand(part, schedule),
                          substream=COLLAR_SUBSTREAM)
+        assert len(drawn) == config.n_chunks
         assert report.estimate == 0.5 * column.mean[-1]
         assert report.stderr == 0.5 * column.stderr[-1]
         # Fitting the three epsilon columns of the summed collars as if
