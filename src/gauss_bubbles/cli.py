@@ -158,7 +158,7 @@ def _cmd_perimeter(spec: dict):
             (
                 "facets",
                 ["i", "j", "mass", "stderr", "method"],
-                [[i, j, mass, err, tag] for i, j, mass, err, tag in report.rows()],
+                [[i, j, mass, err, "facet"] for i, j, mass, err in report.rows()],
             )
         )
     if method in ("minkowski", "both"):
@@ -330,12 +330,13 @@ def _cmd_stability_check(spec: dict):
     spec["dimension"] = reference.d
     cfg = _integration_config(spec)
     eps = float(spec.get("epsilon", 1e-3))
-    targets = np.full(reference.m, 1.0 / reference.m)
     if spec.get("candidate"):
         candidate = AffinePartition.from_json(Path(spec["candidate"]).read_text(encoding="utf-8"))
     else:
         magnitude = float(spec.get("perturb", 0.05))
         candidate = perturb(reference, magnitude, int(spec.get("perturb_seed", 1)))
+        # The reference's own volumes, exact for m <= 4.
+        targets = cell_moments(reference, None, cfg).volumes
         candidate = calibrate_offsets_to_volumes(candidate, targets, cfg)
     w = _parse_floats(spec["w"]) if spec.get("w") else None
     cert = stability_margin(reference, candidate, eps, w, cfg)
@@ -598,8 +599,6 @@ def main(argv=None) -> int:
     if args.command == "regression":
         return _run_regression(Path(args.corpus))
 
-    if args.command not in _COMMANDS:  # unreachable via argparse, kept for safety
-        return USAGE_EXIT
     try:
         spec = _resolve_spec(args)
         started = time.perf_counter()

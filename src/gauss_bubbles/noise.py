@@ -30,7 +30,7 @@ from .errors import (
     PreconditionError,
 )
 from .montecarlo import PAIR_SUBSTREAM, IntegrationConfig, mc_mean
-from .partitions import cell_moments
+from .partitions import _VOL_TOL, cell_moments
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,6 @@ def perimeter_from_noise_limit(target, rho_schedule, cfg: IntegrationConfig) -> 
     half = 0.5 if is_partition else 1.0  # each interface borders two cells
 
     table = []
-    xs, ys, sigmas = [], [], []
-    top_deficit, top_deficit_err = 0.0, 0.0
     for rho in rhos:
         if is_partition:
             def values(x, y):
@@ -136,30 +134,22 @@ def perimeter_from_noise_limit(target, rho_schedule, cfg: IntegrationConfig) -> 
         scale = half * math.sqrt(2.0 * math.pi) / math.acos(rho)
         s = math.sqrt(1.0 - rho * rho)
         table.append((rho, s, deficit, scale * deficit, scale * deficit_err))
-        xs.append(s)
-        ys.append(scale * deficit)
-        sigmas.append(scale * deficit_err)
-        top_deficit, top_deficit_err = deficit, deficit_err
 
-    if top_deficit > 0 and top_deficit_err > 0.2 * top_deficit:
+    # deficit and deficit_err are those of the largest rho.
+    if deficit > 0 and deficit_err > 0.2 * deficit:
         raise PrecisionError(
             "Monte Carlo error exceeds 20% of the stability deficit at the "
             f"largest rho ({rhos[-1]}); increase sample_count"
         )
 
-    x = np.array(xs)
-    y = np.array(ys)
-    sig = np.maximum(np.array(sigmas), 1e-15)
-    w = 1.0 / sig**2
-    sw, sx, sy = w.sum(), (w * x).sum(), (w * y).sum()
-    sxx, sxy = (w * x * x).sum(), (w * x * y).sum()
-    det = sw * sxx - sx * sx
-    intercept = (sxx * sy - sx * sxy) / det
-    slope = (sw * sxy - sx * sy) / det
-    intercept_err = math.sqrt(max(sxx / det, 0.0))
+    # Weighted least-squares line with weights 1/sigma^2; the unscaled
+    # covariance is that of the fit from the given sigmas alone.
+    _, s, _, y, sigma = np.array(table).T
+    sig = np.maximum(sigma, 1e-15)
+    (slope, intercept), cov = np.polyfit(s, y, 1, w=1.0 / sig, cov="unscaled")
     return NoiseLimitReport(
         estimate=float(intercept),
-        stderr=float(intercept_err),
+        stderr=math.sqrt(max(cov[1, 1], 0.0)),
         table=table,
         slope=float(slope),
     )
@@ -185,7 +175,6 @@ class NoiseCertificate:
     margin_stderr: float
     moment_reference: float
     moment_candidate: float
-    note: str = "modulo the o(sqrt(1-rho^2)) remainder"
 
 
 def noise_stability_certificate(
@@ -195,13 +184,12 @@ def noise_stability_certificate(
     epsilon: float,
     w,
     cfg: IntegrationConfig,
-    vol_tol: float = 3e-3,
     enforce_rho_range: bool = True,
 ) -> NoiseCertificate:
     """Compare candidate noise stability against the reference, penalized by
     the moment-functional gap at rate epsilon * sqrt(1-rho^2) * sqrt(pi/2).
 
-    Preconditions: matching cell volumes within ``vol_tol`` (calibrate
+    Preconditions: matching cell volumes within ``_VOL_TOL`` = 3e-3 (calibrate
     first) and, unless overridden for exploration, 1/2 < rho < 1.
     """
     if reference.m != candidate.m or reference.d != candidate.d:
@@ -219,9 +207,9 @@ def noise_stability_certificate(
     mom_ref = cell_moments(reference, w, cfg)
     mom_cand = cell_moments(candidate, w, cfg)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
-    if gap > vol_tol:
+    if gap > _VOL_TOL:
         raise PreconditionError(
-            f"cell volumes differ by {gap:.4f} > vol_tol={vol_tol}; calibrate first"
+            f"cell volumes differ by {gap:.4f} > vol_tol={_VOL_TOL}; calibrate first"
         )
 
     stab_ref = noise_stability_partition(reference, rho, cfg)

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .montecarlo import IntegrationConfig, map_chunks
 from .partitions import (
+    _VOL_TOL,
     AffinePartition,
     align_rotation,
     calibrate_offsets_to_volumes,
@@ -41,6 +42,13 @@ _PENALTY_FACTOR = math.sqrt(math.pi / 2.0)
 # Finite sentinel for infeasible iterates: keeps the simplex arithmetic
 # warning-free and lets a fully infeasible restart terminate quickly.
 _INFEASIBLE = 1e30
+# Nelder-Mead's objective tolerance (a tenth of it for the final polish).
+_OBJECTIVE_TOL = 1e-5
+# Calibration tolerance of each evaluation; Monte Carlo volumes (m >= 5) are
+# not matched below their own noise floor, 1/sqrt(samples).
+_CALIBRATION_TOL = 1e-3
+# Samples per chunk whenever the sample count is a multiple of it.
+_CHUNK_SIZE = 25_000
 
 
 @dataclass(frozen=True)
@@ -60,11 +68,8 @@ class OptimizeConfig:
     seed: int = 0
     restarts: int = 3
     max_iters: int = 200
-    objective_tol: float = 1e-5
     search_samples: int = 100_000
     final_samples: int = 1_000_000
-    chunk_size: int = 25_000
-    calibration_tol: float = 1e-3
 
     def __post_init__(self):
         a = np.asarray(self.target_volumes, dtype=float)
@@ -82,7 +87,7 @@ class OptimizeConfig:
         return np.asarray(self.target_volumes, dtype=float)
 
     def integration(self, samples: int) -> IntegrationConfig:
-        chunk = self.chunk_size if samples % self.chunk_size == 0 else samples
+        chunk = _CHUNK_SIZE if samples % _CHUNK_SIZE == 0 else samples
         return IntegrationConfig(
             sample_count=samples, seed=self.seed, dimension=self.d, chunk_size=chunk
         )
@@ -104,7 +109,6 @@ class OptimizeResult:
     trace: list = field(default_factory=list)
     restart_values: list = field(default_factory=list)
     alignment_misalignment: float = math.nan
-    alignment_rotation: np.ndarray | None = None
     evaluations: int = 0
 
 
@@ -135,9 +139,8 @@ class _Objective:
         self.trace = []
         self.warm_offsets = np.zeros(cfg.m)
         self.evaluations = 0
-        # Monte Carlo volumes (m >= 5) cannot be matched below their own
-        # noise floor; exact calibration (m <= 4) goes to 1e-12 regardless.
-        self.tol = max(cfg.calibration_tol, 1.0 / math.sqrt(mc.sample_count))
+        # Exact calibration (m <= 4) goes to 1e-12 regardless.
+        self.tol = max(_CALIBRATION_TOL, 1.0 / math.sqrt(mc.sample_count))
 
     def partition_for(self, params: np.ndarray) -> AffinePartition | None:
         """The calibrated partition, or None when infeasible."""
@@ -207,7 +210,7 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
                 "maxiter": cfg.max_iters,
                 "maxfev": 2 * cfg.max_iters,
                 "xatol": 1e-4,
-                "fatol": cfg.objective_tol,
+                "fatol": _OBJECTIVE_TOL,
                 "adaptive": True,
             },
         )
@@ -236,7 +239,7 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
             "maxiter": max(40, 7 * best_x.size),
             "maxfev": max(80, 12 * best_x.size),
             "xatol": 1e-5,
-            "fatol": cfg.objective_tol / 10.0,
+            "fatol": _OBJECTIVE_TOL / 10.0,
             "initial_simplex": simplex,
         },
     )
@@ -258,10 +261,8 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
     # Report how far the winner sits from the simplicial-cone family, modulo
     # rotation and relabeling. Only meaningful when ambient dims match.
     if cfg.d == cfg.m - 1:
-        reference = simplicial_cone_partition(cfg.m)
-        aligned = align_rotation(reference, partition, final_mc)
+        aligned = align_rotation(simplicial_cone_partition(cfg.m), partition, final_mc)
         result.alignment_misalignment = aligned.misalignment
-        result.alignment_rotation = aligned.rotation
     return result
 
 
@@ -323,15 +324,14 @@ def stability_margin(
     eps: float,
     w,
     cfg: IntegrationConfig,
-    vol_tol: float = 3e-3,
 ) -> StabilityCertificate:
     """Fill a stability certificate for candidate against reference.
 
     Preconditions: matching m and d, and cell volumes equal within
-    ``vol_tol`` (calibrate the candidate first). For m <= 4 the volumes, the
-    moment functionals and the perimeters are exact, so the certificate is
-    deterministic: ``cfg`` is not sampled, the margin's error is the
-    quadrature of the evaluators' error bounds (0 for these), and the
+    ``_VOL_TOL`` = 3e-3 (calibrate the candidate first). For m <= 4 the
+    volumes, the moment functionals and the perimeters are exact, so the
+    certificate is deterministic: ``cfg`` is not sampled, the margin's error
+    is the quadrature of the evaluators' error bounds (0 for these), and the
     verdict is the sign of the margin. For m >= 5 volumes and moments are
     Monte Carlo estimates on ``cfg``'s stream.
     """
@@ -346,9 +346,9 @@ def stability_margin(
     mom_ref = cell_moments(reference, w, cfg, per_ref)
     mom_cand = cell_moments(candidate, w, cfg, per_cand)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
-    if gap > vol_tol:
+    if gap > _VOL_TOL:
         raise PreconditionError(
-            f"cell volumes differ by {gap:.4f} > vol_tol={vol_tol}; calibrate first"
+            f"cell volumes differ by {gap:.4f} > vol_tol={_VOL_TOL}; calibrate first"
         )
 
     factor = eps * _PENALTY_FACTOR

@@ -66,6 +66,13 @@ _EXACT_RESIDUAL = 1e-12
 # many times while it fails to reduce the residual.
 _NEWTON_FLOOR = 1e-6
 _MAX_HALVINGS = 30
+# Calibration scales its log steps (and, for m >= 5, its Newton steps) by this.
+_DAMPING = 0.5
+# Most misalignment evaluations of align_rotation's simplex refinement.
+_REFINE_ITERS = 80
+# Largest cell-volume gap the stability certificates accept between the
+# reference and the candidate.
+_VOL_TOL = 3e-3
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +344,6 @@ def calibrate_offsets_to_volumes(
     cfg: IntegrationConfig,
     tol: float = 1e-3,
     max_iters: int = 40,
-    damping: float = 0.5,
 ) -> AffinePartition:
     """Adjust offsets until the cell volumes match the targets within tol.
 
@@ -345,17 +351,17 @@ def calibrate_offsets_to_volumes(
     take Newton steps with the facet-mass Jacobian until the residual is at
     most min(tol, 1e-12); ``cfg`` is not sampled. For m >= 5 the volumes are
     Monte Carlo estimates on ``cfg``'s stream: a damped multiplicative fixed
-    point c_i += damping * log(a_i/a_hat_i) switches to coordinate Newton
+    point c_i += 0.5 * log(a_i/a_hat_i) switches to coordinate Newton
     steps (slopes from the facet masses) once the residual is small, and
     stops at tol. The same config (hence the same sample stream) is used for
-    every iterate, so the iteration is deterministic. ``damping`` scales the
-    log steps. Offsets are normalized to sum to zero. A failure raises
-    ``CalibrationError`` with the last iterate and its residual.
+    every iterate, so the iteration is deterministic. Offsets are
+    normalized to sum to zero. A failure raises ``CalibrationError`` with
+    the last iterate and its residual.
     """
     if exact.supports(partition):
-        return _calibrate_exact(partition, targets, tol, max_iters, damping)
+        return _calibrate_exact(partition, targets, tol, max_iters)
     a = _check_targets(partition, targets)
-    return _calibrate_mc(partition, a, cfg, tol, max_iters, damping)
+    return _calibrate_mc(partition, a, cfg, tol, max_iters)
 
 
 def cell_moments(partition, w, cfg: IntegrationConfig, report=None) -> MomentReport:
@@ -385,7 +391,6 @@ def _calibrate_exact(
     targets,
     tol: float,
     max_iters: int,
-    damping: float,
 ) -> AffinePartition:
     """Calibrate by damped Newton steps on exact volumes, m <= 4, to a
     residual max |volume - target| of at most min(tol, 1e-12).
@@ -418,7 +423,7 @@ def _calibrate_exact(
             slopes[facet.i, facet.j] = slopes[facet.j, facet.i] = -s
         slopes[np.diag_indices(partition.m)] = -slopes.sum(axis=1)
         newton = np.linalg.lstsq(slopes, a - est, rcond=None)[0]
-        log_step = damping * np.log(a / np.maximum(est, np.finfo(float).tiny))
+        log_step = _DAMPING * np.log(a / np.maximum(est, np.finfo(float).tiny))
         step = np.clip(np.where(est < _NEWTON_FLOOR, log_step, newton), -1.0, 1.0)
         norm = np.linalg.norm(est - a)
         for _ in range(_MAX_HALVINGS):
@@ -447,7 +452,6 @@ def _calibrate_mc(
     cfg: IntegrationConfig,
     tol: float,
     max_iters: int,
-    damping: float,
 ) -> AffinePartition:
     """Damped log fixed point, then diagonal Newton, on Monte Carlo volumes."""
     floor = 1.0 / (2.0 * cfg.sample_count)
@@ -481,7 +485,7 @@ def _calibrate_mc(
         prev_sign = sign
         # Clipped so an empty cell does not take a log(1/floor)-sized jump
         # straight to dominance.
-        log_step = damping * np.log(a / np.maximum(est, floor))
+        log_step = _DAMPING * np.log(a / np.maximum(est, floor))
         if it < 2:
             step = log_step
         else:
@@ -492,7 +496,7 @@ def _calibrate_mc(
                 slopes = np.maximum(_volume_slopes(current, cfg), 1e-6)
                 slopes_age = 0
             slopes_age += 1
-            newton = damping * (a - est) / slopes
+            newton = _DAMPING * (a - est) / slopes
             step = np.where(est > 1e-4, newton, log_step)
         step = np.clip(step, -cap, cap)
         offsets = current.offsets + step
@@ -551,14 +555,10 @@ class AlignmentResult:
     rotation: np.ndarray
     misalignment: float
     stderr: float
-    permutation: np.ndarray
 
 
 def align_rotation(
-    reference: AffinePartition,
-    candidate: AffinePartition,
-    cfg: IntegrationConfig,
-    refine_iters: int = 80,
+    reference: AffinePartition, candidate: AffinePartition, cfg: IntegrationConfig
 ) -> AlignmentResult:
     """Rotation approximately minimizing the symmetric-difference measure.
 
@@ -571,8 +571,7 @@ def align_rotation(
     if reference.m != candidate.m or reference.d != candidate.d:
         raise ContractViolationError("partitions must share m and d for alignment")
     d = reference.d
-    perm = _greedy_direction_match(reference, candidate)
-    matched = candidate.relabeled(perm)
+    matched = candidate.relabeled(_greedy_direction_match(reference, candidate))
     base_rot = _procrustes_rotation(matched.directions, reference.directions)
 
     def misalignment_of(rot: np.ndarray):
@@ -589,7 +588,7 @@ def align_rotation(
     n_params = d * (d - 1) // 2
     # Procrustes is already optimal when the direction sets match exactly;
     # only burn refinement evaluations on a significantly nonzero residual.
-    if n_params > 0 and refine_iters > 0 and best_val > 3.0 * best_err:
+    if n_params > 0 and best_val > 3.0 * best_err:
         from scipy.linalg import expm
         from scipy.optimize import minimize
 
@@ -600,15 +599,13 @@ def align_rotation(
             objective,
             np.zeros(n_params),
             method="Nelder-Mead",
-            options={"maxfev": refine_iters, "xatol": 1e-4, "fatol": 0.0},
+            options={"maxfev": _REFINE_ITERS, "xatol": 1e-4, "fatol": 0.0},
         )
         refined = expm(_skew_matrix(res.x, d)) @ base_rot
         val, err = misalignment_of(refined)
         if val < best_val:
             best_rot, best_val, best_err = refined, val, err
-    return AlignmentResult(
-        rotation=best_rot, misalignment=best_val, stderr=best_err, permutation=perm
-    )
+    return AlignmentResult(rotation=best_rot, misalignment=best_val, stderr=best_err)
 
 
 class PartitionCell:

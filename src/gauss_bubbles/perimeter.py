@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from .errors import (
     ConfigError,
@@ -49,7 +50,7 @@ from .partitions import (
     _relaxed_limit,
     _tournament,
 )
-from .special import chi_square_cdf, sphere_surface_measure
+from .special import sphere_surface_measure
 
 # Bound, relative to the scale of the scores, on the rounding difference
 # between a score gap s_l - s_i and the slack PartitionCell.distance computes
@@ -192,13 +193,12 @@ class PerimeterReport:
     masses: dict
     total: float
     total_stderr: float
-    method: str
 
     def rows(self):
-        """(i, j, mass, stderr, method) per pair, sorted."""
+        """(i, j, mass, stderr) per pair, sorted."""
         for (i, j) in sorted(self.masses):
             mass, err = self.masses[(i, j)]
-            yield i, j, mass, err, self.method
+            yield i, j, mass, err
 
 
 def facet_perimeter(partition: AffinePartition, cfg: IntegrationConfig) -> PerimeterReport:
@@ -223,9 +223,7 @@ def facet_perimeter(partition: AffinePartition, cfg: IntegrationConfig) -> Perim
         masses[pair] = (mass, err)
         total += mass
         var += err * err
-    return PerimeterReport(
-        masses=masses, total=total, total_stderr=math.sqrt(var), method="facet"
-    )
+    return PerimeterReport(masses=masses, total=total, total_stderr=math.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -236,12 +234,9 @@ class MinkowskiReport:
     stderr: float
     table: list  # (epsilon, value, stderr) rows
     slope: float
-    method: str = "minkowski"
 
 
-def minkowski_perimeter(
-    region, eps_schedule, cfg: IntegrationConfig, substream: int = COLLAR_SUBSTREAM
-) -> MinkowskiReport:
+def minkowski_perimeter(region, eps_schedule, cfg: IntegrationConfig) -> MinkowskiReport:
     """Surface area from the outer collar: (1/eps) * gamma({x not in region,
     dist(x, region) < eps}), extrapolated to eps -> 0.
 
@@ -275,7 +270,7 @@ def minkowski_perimeter(
             fit += intercept[j] * collar[:, j]
         return np.column_stack([collar, fit])
 
-    res = mc_mean(cfg, values, substream=substream)
+    res = mc_mean(cfg, values, substream=COLLAR_SUBSTREAM)
     table = [(eps[j], float(res.mean[j]), float(res.stderr[j])) for j in range(k)]
     return MinkowskiReport(
         estimate=float(res.mean[k]),
@@ -408,7 +403,9 @@ def cylinder_closed_forms(cylinder: RoundCylinder) -> tuple[float, float]:
 
     The boundary r S^k x R^{n-k} has Gaussian surface area
     omega_k r^k (2 pi)^{-(k+1)/2} exp(-r^2/2), independent of the ambient
-    dimension; the inside volume is the chi-square CDF P(chi^2_{k+1} <= r^2).
+    dimension; the inside volume is the chi-square CDF P(chi^2_{k+1} <= r^2),
+    the outside volume its upper tail, each read from its own side of the
+    regularized incomplete gamma pair so that a small tail keeps its digits.
     """
     k, r = cylinder.k, cylinder.r
     perimeter = (
@@ -417,32 +414,17 @@ def cylinder_closed_forms(cylinder: RoundCylinder) -> tuple[float, float]:
         * (2.0 * math.pi) ** (-(k + 1) / 2.0)
         * math.exp(-0.5 * r * r)
     )
-    inside = chi_square_cdf(k + 1, r * r)
-    volume = inside if cylinder.orientation == "inside" else 1.0 - inside
-    return perimeter, volume
+    tail = gammainc if cylinder.orientation == "inside" else gammaincc
+    return perimeter, float(tail(0.5 * (k + 1), 0.5 * r * r))
 
 
 def _solve_cylinder_radius(k: int, orientation: str, a: float) -> float | None:
-    """Radius with cylinder volume a, by bisection on the monotone CDF."""
-    target = a if orientation == "inside" else 1.0 - a
-
-    def cdf(r: float) -> float:
-        return chi_square_cdf(k + 1, r * r)
-
-    lo, hi = 0.0, 1.0
-    grow = 0
-    while cdf(hi) < target:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if cdf(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Radius with cylinder volume a, by inverting the side of the
+    regularized incomplete gamma pair that holds the volume; None when the
+    radius underflows to 0 or overflows."""
+    inverse = gammaincinv if orientation == "inside" else gammainccinv
+    r = math.sqrt(2.0 * float(inverse(0.5 * (k + 1), a)))
+    return r if 0.0 < r < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -464,8 +446,10 @@ def symmetric_scan(a: float, k_max: int, orientation: str = "inside") -> Symmetr
     """Scan round-cylinder candidates of volume a over k = 0..k_max.
 
     For each k (and each requested orientation) the volume equation is
-    solved for r by bisection and the closed-form perimeter evaluated. The
-    minimizing row breaks ties toward smaller k.
+    solved for r by scipy's inverse regularized incomplete gamma function
+    (lower for inside, upper for outside) and the closed-form perimeter
+    evaluated; a radius that underflows to 0 or overflows makes its row
+    infeasible. The minimizing row breaks ties toward smaller k.
     """
     if not 0.0 < a < 1.0:
         raise DomainError("volume a must lie strictly between 0 and 1")

@@ -173,7 +173,7 @@ def test_criterion_07_clt_crosscheck():
 def test_criterion_08_optimizer():
     cfg = OptimizeConfig(m=3, d=2, target_volumes=(1 / 3, 1 / 3, 1 / 3), seed=1,
                          restarts=3, max_iters=120, search_samples=100_000,
-                         final_samples=1_000_000, chunk_size=25_000)
+                         final_samples=1_000_000)
     res = optimize_propeller(cfg)
     moment_err = abs(res.objective - PROPELLER_MOMENT) / PROPELLER_MOMENT
     ok_m3 = moment_err <= 0.01 and res.alignment_misalignment <= 0.02
@@ -181,7 +181,7 @@ def test_criterion_08_optimizer():
     targets = (float(ndtr(1.0)), float(1.0 - ndtr(1.0)))
     cfg1 = OptimizeConfig(m=2, d=1, target_volumes=targets, seed=2, restarts=2,
                           max_iters=60, search_samples=100_000,
-                          final_samples=1_000_000, chunk_size=25_000)
+                          final_samples=1_000_000)
     res1 = minimize_penalized_perimeter(cfg1, 0.0)
     boundary = (res1.partition.offsets[1] - res1.partition.offsets[0]) / 2.0
     vols = mc_volumes(res1.partition, mc(1, seed=2, chunk=25_000)).volumes
@@ -198,8 +198,7 @@ def test_criterion_08_four_cells():
     # Criterion 08's bounds on the m = 4, d = 3 optimizer: the winner is the
     # simplicial cone partition, whose M has a closed form.
     cfg = OptimizeConfig(m=4, d=3, target_volumes=(0.25,) * 4, seed=7, restarts=2,
-                         max_iters=100, search_samples=50_000, final_samples=200_000,
-                         chunk_size=25_000)
+                         max_iters=100, search_samples=50_000, final_samples=200_000)
     res = optimize_propeller(cfg)
     moment_err = abs(res.objective - CONES4_MOMENT) / CONES4_MOMENT
     report(8, moment_err <= 0.01 and res.alignment_misalignment <= 0.02,

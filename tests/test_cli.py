@@ -10,7 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gauss_bubbles import CapacityError
+from gauss_bubbles import (
+    CapacityError,
+    IntegrationConfig,
+    calibrate_offsets_to_volumes,
+    simplicial_cone_partition,
+)
 from gauss_bubbles.cli import _cmd_discrete, main
 
 import oracles
@@ -515,6 +520,22 @@ class TestStabilityCheck:
         summary = json.loads(contents["1"]["stability-check_summary.json"])
         assert summary["results"]["verdict"] == "pass"
         assert summary["stderr"]["margin"] == 0.0
+
+    def test_unequal_volume_reference(self, tmp_path):
+        # The candidate is calibrated to the reference's own volumes, not to
+        # 1/m, so the volume precondition holds.
+        config = IntegrationConfig(sample_count=1, seed=0, dimension=2, chunk_size=1)
+        reference = calibrate_offsets_to_volumes(simplicial_cone_partition(3),
+                                                 (0.5, 0.3, 0.2), config)
+        path = tmp_path / "reference.json"
+        path.write_text(reference.to_json(), encoding="utf-8")
+        code = main(["stability-check", "--reference", str(path), "--perturb", "0.1",
+                     "--perturb-seed", "2", "--epsilon", "1e-3", "--samples", "1e4",
+                     "--seed", "3", "--out-dir", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "stability-check_summary.json").read_text())
+        assert summary["results"]["verdict"] == "pass"
+        assert summary["results"]["p_reference"] == pytest.approx(0.559874082811, rel=1e-11)
 
 
 def write_corpus_case(path: Path, name: str, spec: dict, expect: list):

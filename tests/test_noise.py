@@ -149,6 +149,19 @@ class TestPerimeterFromNoiseLimit:
         with pytest.raises(ConfigError):
             perimeter_from_noise_limit(cell, [0.5, 0.7, 0.9], config)
 
+    def test_line_fit_is_weighted_least_squares(self):
+        # Intercept, slope and intercept stderr of the table's rows fitted
+        # with weights 1/stderr^2, here from the normal equations.
+        report = perimeter_from_noise_limit(propeller_partition(), self.SCHEDULE,
+                                            cfg(2, samples=200_000, chunk=50_000))
+        _, s, _, y, sigma = np.array(report.table).T
+        design = np.column_stack([np.ones_like(s), s]) / sigma[:, None]
+        cov = np.linalg.inv(design.T @ design)
+        intercept, slope = cov @ design.T @ (y / sigma)
+        assert report.estimate == pytest.approx(intercept, rel=1e-10)
+        assert report.slope == pytest.approx(slope, rel=1e-10)
+        assert report.stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-10)
+
     def test_precision_gate(self):
         cell = PartitionCell(half_space_pair(2, 0.0), 0)
         with pytest.raises(PrecisionError):

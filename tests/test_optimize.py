@@ -21,7 +21,7 @@ from gauss_bubbles import (
     simplicial_cone_partition,
     stability_margin,
 )
-from gauss_bubbles import exact
+from gauss_bubbles import exact, optimize
 
 import oracles
 
@@ -80,8 +80,7 @@ class TestOptimizeConfig:
 
 def quick_config(**kwargs):
     defaults = dict(m=2, d=1, target_volumes=(0.5, 0.5), seed=5, restarts=2,
-                    max_iters=50, search_samples=50_000, final_samples=200_000,
-                    chunk_size=25_000)
+                    max_iters=50, search_samples=50_000, final_samples=200_000)
     defaults.update(kwargs)
     return OptimizeConfig(**defaults)
 
@@ -123,7 +122,7 @@ class TestOptimizePropeller:
         assert np.all(np.isnan(residuals[~feasible]))
         # Calibration stops within tol on the search stream; re-centring the
         # offsets may move a boundary sample or so.
-        tol = max(config.calibration_tol, 1.0 / math.sqrt(config.search_samples))
+        tol = max(optimize._CALIBRATION_TOL, 1.0 / math.sqrt(config.search_samples))
         assert np.all(np.isfinite(residuals[feasible]))
         assert np.all(residuals[feasible] <= tol + 1.0 / config.search_samples)
         assert np.any(residuals[feasible] > 0.0)
@@ -136,7 +135,7 @@ class TestOptimizePropeller:
         # objective for m <= 4 has no noise floor to stall on.
         config = OptimizeConfig(m=3, d=2, target_volumes=(1 / 3, 1 / 3, 1 / 3), seed=seed,
                                 restarts=2, max_iters=40, search_samples=50_000,
-                                final_samples=200_000, chunk_size=25_000)
+                                final_samples=200_000)
         result = optimize_propeller(config)
         assert result.alignment_misalignment <= 0.02
         assert result.objective == pytest.approx(9.0 / (8.0 * math.pi), rel=1e-6)
@@ -155,7 +154,7 @@ class TestMinimizePenalized:
     def test_three_cells_reach_propeller_with_and_without_penalty(self):
         cfg3 = OptimizeConfig(m=3, d=2, target_volumes=(1 / 3, 1 / 3, 1 / 3), seed=3,
                               restarts=2, max_iters=100, search_samples=50_000,
-                              final_samples=200_000, chunk_size=25_000)
+                              final_samples=200_000)
         plain = minimize_penalized_perimeter(cfg3, 0.0)
         target = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
         assert plain.objective == pytest.approx(target, rel=0.01)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammainc, ndtr
+from scipy.special import erf, gammainc, log_ndtr, ndtr
 from scipy.stats import multivariate_normal
 
 from gauss_bubbles import (
@@ -30,7 +30,7 @@ from gauss_bubbles import exact, perimeter
 from gauss_bubbles.montecarlo import COLLAR_SUBSTREAM, mc_mean
 from gauss_bubbles.exact import bivariate_normal_cdf
 from gauss_bubbles.perimeter import facet_mass
-from gauss_bubbles.special import chi_square_cdf, regularized_gamma_p, sphere_surface_measure
+from gauss_bubbles.special import chi_square_cdf, sphere_surface_measure
 
 import oracles
 
@@ -622,18 +622,19 @@ class TestCylinderClosedForms:
 
 
 class TestSpecialFunctions:
-    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5, 2.0, 7.5, 30.0])
-    @pytest.mark.parametrize("x", [1e-6, 0.3, 1.0, 4.0, 25.0, 80.0])
-    def test_regularized_gamma_against_scipy(self, a, x):
-        assert regularized_gamma_p(a, x) == pytest.approx(float(gammainc(a, x)), abs=1e-10)
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 15, 60])
+    @pytest.mark.parametrize("x", [2e-6, 0.6, 2.0, 8.0, 50.0, 160.0])
+    def test_chi_square_cdf_against_closed_form(self, df, x):
+        # P(chi^2_df <= x) is the Gaussian mass of the ball of radius sqrt(x)
+        # in R^df: one minus the finite-sum upper tail of log_upper_tail.
+        closed = -math.expm1(log_upper_tail(df - 1, math.sqrt(x)))
+        assert chi_square_cdf(df, x) == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
     def test_chi_square_edge_cases(self):
         assert chi_square_cdf(3, 0.0) == 0.0
         assert chi_square_cdf(1, 1.0) == pytest.approx(2.0 * ndtr(1.0) - 1.0, abs=1e-10)
         with pytest.raises(DomainError):
-            regularized_gamma_p(-1.0, 2.0)
-        with pytest.raises(DomainError):
-            regularized_gamma_p(1.0, -2.0)
+            chi_square_cdf(0, 1.0)
 
     def test_sphere_surface_measures(self):
         assert sphere_surface_measure(0) == pytest.approx(2.0)
@@ -670,6 +671,53 @@ class TestSymmetricScan:
             symmetric_scan(0.0, 2)
         with pytest.raises(DomainError):
             symmetric_scan(0.5, -1)
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-6, 0.39347, 1.0 - 1e-6])
+    def test_radius_holds_the_volume(self, a):
+        # The Gaussian mass at each returned radius, against a: the upper
+        # tail from its closed form for every k, the inside from erf (k = 0),
+        # expm1 (k = 1) or scipy's forward gamma function.
+        rows = symmetric_scan(a, 7, "both").rows
+        assert len(rows) == 16 and all(row.feasible for row in rows)
+        for row in rows:
+            if row.orientation == "outside":
+                mass = math.exp(log_upper_tail(row.k, row.r))
+            elif row.k == 0:
+                mass = float(erf(row.r / math.sqrt(2.0)))
+            elif row.k == 1:
+                mass = -math.expm1(-0.5 * row.r * row.r)
+            else:
+                mass = float(gammainc(0.5 * (row.k + 1), 0.5 * row.r * row.r))
+            assert mass == pytest.approx(a, rel=1e-12, abs=0.0), (row.k, row.orientation)
+
+    def test_smallest_subnormal_volume(self):
+        # 5e-324 carries no relative precision: it stands for every mass
+        # within half its spacing, so the tail is checked to that interval.
+        a = 5e-324
+        rows = symmetric_scan(a, 7, "both").rows
+        for row in rows:
+            if row.orientation == "outside":
+                assert row.feasible
+                assert abs(log_upper_tail(row.k, row.r) - math.log(a)) <= math.log(1.5), row.k
+        # The k = 0 inside radius squared underflows: infeasible, not an error.
+        inside = [row for row in rows if row.orientation == "inside"]
+        assert not inside[0].feasible and math.isnan(inside[0].r)
+        assert all(row.feasible and row.r > 0.0 for row in inside[1:])
+
+
+def log_upper_tail(k: int, r: float) -> float:
+    """log P(|X| >= r), X standard Gaussian in R^(k+1), in closed form.
+
+    With s = (k+1)/2 and x = r^2/2 this is the regularized upper incomplete
+    gamma function Q(s, x), a finite sum at integer and half-integer s:
+    Q(s, x) = Q(b, x) + sum over b <= t < s of x^t e^(-x) / Gamma(t + 1),
+    from Q(1, x) = e^(-x) or Q(1/2, x) = erfc(sqrt(x)) = 2 Phi(-r).
+    """
+    x = 0.5 * r * r
+    base, first = (0.5, math.log(2.0) + float(log_ndtr(-r))) if k % 2 == 0 else (1.0, -x)
+    terms = [first] + [t * math.log(x) - x - math.lgamma(t + 1.0)
+                       for t in base + np.arange(k // 2)]
+    return float(np.logaddexp.reduce(terms))
 
 
 class TestTailDecay:
