@@ -330,16 +330,17 @@ def _cmd_stability_check(spec: dict):
     spec["dimension"] = reference.d
     cfg = _integration_config(spec)
     eps = float(spec.get("epsilon", 1e-3))
+    w = _parse_floats(spec["w"]) if spec.get("w") else None
+    # Evaluated once, exact for m <= 4: a perturbed candidate is calibrated
+    # to the reference's own volumes, and the certificate reuses them.
+    mom_ref = cell_moments(reference, w, cfg)
     if spec.get("candidate"):
         candidate = AffinePartition.from_json(Path(spec["candidate"]).read_text(encoding="utf-8"))
     else:
         magnitude = float(spec.get("perturb", 0.05))
         candidate = perturb(reference, magnitude, int(spec.get("perturb_seed", 1)))
-        # The reference's own volumes, exact for m <= 4.
-        targets = cell_moments(reference, None, cfg).volumes
-        candidate = calibrate_offsets_to_volumes(candidate, targets, cfg)
-    w = _parse_floats(spec["w"]) if spec.get("w") else None
-    cert = stability_margin(reference, candidate, eps, w, cfg)
+        candidate = calibrate_offsets_to_volumes(candidate, mom_ref.volumes, cfg)
+    cert = stability_margin(reference, candidate, eps, w, cfg, mom_ref)
     results = {
         "margin": cert.margin,
         "verdict": cert.verdict,
@@ -472,7 +473,7 @@ def _regression_case(case_path: Path) -> tuple[str, list[str]]:
         return name, [str(exc)]
     except KeyError as exc:
         return name, [f"spec is missing {exc}"]
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         return name, [f"bad spec: {exc}"]
     flat = {"results": results, "stderr": errors}
     problems = []
@@ -612,7 +613,7 @@ def main(argv=None) -> int:
     except GaussBubblesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION_EXIT
     for path in written:

@@ -43,7 +43,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, owens_t
 
 from .errors import (
     ContractViolationError,
@@ -51,7 +50,7 @@ from .errors import (
     DegeneratePairError,
     UnsupportedGeometryError,
 )
-from .montecarlo import TWO_PI, MomentReport
+from .montecarlo import TWO_PI, MomentReport, _shift_vector
 
 #: Largest cell count the exact evaluators cover.
 MAX_EXACT_CELLS = 4
@@ -145,6 +144,8 @@ def _bivariate_normal_cdf(h: np.ndarray, k: np.ndarray, r) -> np.ndarray:
     Owen's one-sided form, and two zero limits the arcsine law, with
     ``math.asin`` element by element.
     """
+    from scipy.special import ndtr, owens_t
+
     r = np.asarray(r, dtype=float)
     if r.ndim == 0:
         r = np.full(h.shape, r)
@@ -173,6 +174,8 @@ def _bivariate_normal_cdf(h: np.ndarray, k: np.ndarray, r) -> np.ndarray:
 
 def _owen(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Owen's form of Phi_2 for nonzero limits and |r| < 1, unclipped."""
+    from scipy.special import ndtr, owens_t
+
     s = np.sqrt(1.0 - r * r)
     return (
         0.5 * ndtr(h)
@@ -548,6 +551,8 @@ class _Terms:
         self.values.append(None)
 
     def evaluate(self) -> list:
+        from scipy.special import ndtr
+
         if self.one:
             for at, v in zip(self.one_at, ndtr(np.array(self.one)).tolist()):
                 self.values[at] = v
@@ -607,9 +612,7 @@ def moments(partition, w=None, report=None) -> MomentReport:
     """
     volumes, volumes_err = cell_volumes(partition)
     m, d = partition.m, partition.d
-    w = np.zeros(d) if w is None else np.asarray(w, dtype=float).reshape(-1)
-    if w.size != d:
-        raise ContractViolationError(f"shift w has size {w.size}, expected {d}")
+    w = _shift_vector(w, d)
     if np.any(w != 0.0) and np.any(volumes == 0.0):
         empty = int(np.flatnonzero(volumes == 0.0)[0])
         raise DegenerateCellError(

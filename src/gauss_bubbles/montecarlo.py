@@ -43,7 +43,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .errors import (
     ConfigError,
@@ -197,6 +196,10 @@ def _sample_tiles(cfg: IntegrationConfig, substream: int, chunk: int,
     reflections, so the tiles carry the chunk's pairs in order and the whole
     chunk is one block [x; -x].
     """
+    # scipy.special is imported where it is used, so that the commands that
+    # sample nothing (discrete, clt-crosscheck) never load it.
+    from scipy.special import ndtri
+
     d = cfg.dimension
     columns = d if pair_rho is None else 2 * d
     rows = cfg.chunk_size // 2 if cfg.antithetic else cfg.chunk_size
@@ -276,6 +279,9 @@ def mc_mean(
     if groups is not None and groups < 1:
         raise ContractViolationError("groups must be a positive group count")
     tile = _tile_rows(cfg.dimension)
+    # The sampler's first import of scipy.special runs here, on the calling
+    # thread, not in the pool workers.
+    import scipy.special  # noqa: F401
 
     def work(chunk: int):
         sums = _ChunkSums(cfg) if groups is None else _GroupedSums(groups, cfg.antithetic)
@@ -611,6 +617,16 @@ class MomentReport:
         return np.sqrt((self.moments_stderr**2).sum(axis=1))
 
 
+def _shift_vector(w, d: int) -> np.ndarray:
+    """The moment shift ``w`` as a finite vector of length d; zeros for None."""
+    w = np.zeros(d) if w is None else np.asarray(w, dtype=float).reshape(-1)
+    if w.size != d:
+        raise ContractViolationError(f"shift w has size {w.size}, expected {d}")
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"shift w must be finite, got {w.tolist()}")
+    return w
+
+
 def mc_moments(partition, w, cfg: IntegrationConfig) -> MomentReport:
     """Estimate volumes and moment vectors from one shared sample stream.
 
@@ -620,9 +636,7 @@ def mc_moments(partition, w, cfg: IntegrationConfig) -> MomentReport:
     """
     _check_partition(partition, cfg)
     m, d = partition.m, cfg.dimension
-    w = np.zeros(d) if w is None else np.asarray(w, dtype=float).reshape(-1)
-    if w.size != d:
-        raise ContractViolationError(f"shift w has size {w.size}, expected {d}")
+    w = _shift_vector(w, d)
 
     def values(x):
         return partition.classify_points(x), np.hstack([np.ones((x.shape[0], 1)), x])

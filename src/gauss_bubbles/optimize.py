@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     PreconditionError,
 )
-from .montecarlo import IntegrationConfig, map_chunks
+from .montecarlo import IntegrationConfig, MomentReport, map_chunks
 from .partitions import (
     _VOL_TOL,
     AffinePartition,
@@ -281,8 +281,8 @@ def minimize_penalized_perimeter(cfg: OptimizeConfig, eps: float, w=None) -> Opt
 
     eps = 0 is the pure multi-bubble perimeter objective.
     """
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
     return _search(cfg, kind="penalized", eps=eps, w=w)
 
 
@@ -324,6 +324,7 @@ def stability_margin(
     eps: float,
     w,
     cfg: IntegrationConfig,
+    reference_moments: MomentReport | None = None,
 ) -> StabilityCertificate:
     """Fill a stability certificate for candidate against reference.
 
@@ -333,17 +334,20 @@ def stability_margin(
     certificate is deterministic: ``cfg`` is not sampled, the margin's error
     is the quadrature of the evaluators' error bounds (0 for these), and the
     verdict is the sign of the margin. For m >= 5 volumes and moments are
-    Monte Carlo estimates on ``cfg``'s stream.
+    Monte Carlo estimates on ``cfg``'s stream. A caller that already holds
+    the reference's ``cell_moments(reference, w, cfg)`` passes them as
+    ``reference_moments``, and they are not evaluated again.
     """
     if reference.m != candidate.m or reference.d != candidate.d:
         raise PreconditionError("reference and candidate must share m and d")
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
 
     # For m <= 4 the facet masses behind P also give the moment vectors.
     per_ref = facet_perimeter(reference, cfg)
     per_cand = facet_perimeter(candidate, cfg)
-    mom_ref = cell_moments(reference, w, cfg, per_ref)
+    mom_ref = (cell_moments(reference, w, cfg, per_ref) if reference_moments is None
+               else reference_moments)
     mom_cand = cell_moments(candidate, w, cfg, per_cand)
     gap = float(np.max(np.abs(mom_ref.volumes - mom_cand.volumes)))
     if gap > _VOL_TOL:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
 from .errors import (
     ConfigError,
@@ -284,8 +283,9 @@ def _check_schedule(eps_schedule) -> list[float]:
     eps = [float(e) for e in eps_schedule]
     if len(eps) < 3:
         raise ConfigError("the epsilon schedule needs at least 3 values")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise ConfigError("the epsilon schedule must be strictly decreasing and positive")
+    if not all(0.0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise ConfigError(
+            "the epsilon schedule must be strictly decreasing, positive and finite")
     return eps
 
 
@@ -407,6 +407,8 @@ def cylinder_closed_forms(cylinder: RoundCylinder) -> tuple[float, float]:
     the outside volume its upper tail, each read from its own side of the
     regularized incomplete gamma pair so that a small tail keeps its digits.
     """
+    from scipy.special import gammainc, gammaincc
+
     k, r = cylinder.k, cylinder.r
     perimeter = (
         sphere_surface_measure(k)
@@ -422,6 +424,8 @@ def _solve_cylinder_radius(k: int, orientation: str, a: float) -> float | None:
     """Radius with cylinder volume a, by inverting the side of the
     regularized incomplete gamma pair that holds the volume; None when the
     radius underflows to 0 or overflows."""
+    from scipy.special import gammainccinv, gammaincinv
+
     inverse = gammaincinv if orientation == "inside" else gammainccinv
     r = math.sqrt(2.0 * float(inverse(0.5 * (k + 1), a)))
     return r if 0.0 < r < math.inf else None

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammainc
-
 from .errors import DomainError
 
 
@@ -22,4 +20,6 @@ def chi_square_cdf(df: int, x: float) -> float:
         raise DomainError("degrees of freedom must be at least 1")
     if x <= 0.0:
         return 0.0
+    from scipy.special import gammainc
+
     return float(gammainc(df / 2.0, x / 2.0))

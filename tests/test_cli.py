@@ -24,8 +24,8 @@ PROPELLER_PERIMETER = 3.0 / (2.0 * math.sqrt(2.0 * math.pi))
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(args, cwd: Path, env_extra=None, preexec_fn=None):
-    """Run ``python -m gauss_bubbles.cli`` in a child process inside ``cwd``.
+def run_python(args, cwd: Path, env_extra=None, preexec_fn=None):
+    """Run ``python *args`` in a child process inside ``cwd``.
 
     The child runs in ``cwd`` (a ``tmp_path``), where a relative ``PYTHONPATH``
     such as ``src`` no longer resolves and an uninstalled checkout cannot be
@@ -39,23 +39,50 @@ def run_cli(args, cwd: Path, env_extra=None, preexec_fn=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "gauss_bubbles.cli", *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, preexec_fn=preexec_fn,
     )
 
 
-def test_cli_import_leaves_scipy_optimize_and_linalg_unloaded(tmp_path):
-    # Only the optimizer, rotation alignment and sampled facets need them,
-    # so they are imported where those run, not on every CLI start.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p)
-    code = ("import sys, gauss_bubbles.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
+def run_cli(args, cwd: Path, env_extra=None, preexec_fn=None):
+    """Run ``python -m gauss_bubbles.cli`` in a child process inside ``cwd``."""
+    return run_python(["-m", "gauss_bubbles.cli", *args], cwd, env_extra, preexec_fn)
+
+
+SCIPY_ON_DEMAND = ("scipy.special", "scipy.optimize", "scipy.linalg")
+
+
+@pytest.mark.parametrize("module", ["gauss_bubbles", "gauss_bubbles.cli"])
+def test_import_leaves_scipy_special_optimize_and_linalg_unloaded(tmp_path, module):
+    # Only the Gaussian evaluators, the optimizer, rotation alignment and
+    # sampled facets need them, so they are imported where those run, not
+    # on every import of the package or start of the CLI.
+    proc = run_python(["-c", f"import sys, {module}; "
+                       f"print([m for m in {SCIPY_ON_DEMAND!r} if m in sys.modules])"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["discrete", "stability", "--m", "3", "--n", "11", "--function", "plurality",
+     "--rho", "0.5"],
+    ["clt-crosscheck", "--rho", "0.5", "--n", "1001", "--samples", "1e6", "--seed", "4"],
+])
+def test_discrete_commands_run_without_scipy_special(tmp_path, argv):
+    # Both are exact sums that call no Gaussian special function. Their
+    # reports match, byte for byte, those of a process that has loaded it.
+    child_out, here_out = tmp_path / "child", tmp_path / "here"
+    proc = run_python(["-c", "import sys; from gauss_bubbles.cli import main; "
+                       f"code = main({argv + ['--out-dir', str(child_out)]!r}); "
+                       "print(code, 'scipy.special' in sys.modules)"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    import scipy.special  # noqa: F401
+
+    assert main(argv + ["--out-dir", str(here_out)]) == 0
+    child = {p.name: p.read_bytes() for p in sorted(child_out.iterdir())}
+    here = {p.name: p.read_bytes() for p in sorted(here_out.iterdir())}
+    assert len(child) == 2 and child == here
 
 
 class TestBasicCommands:
@@ -279,6 +306,40 @@ class TestErrorPaths:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["perimeter", "--partition", "cones3", "--samples", "inf", "--seed", "1"],
+        ["perimeter", "--partition", "cones3", "--samples", "1e4", "--chunk", "inf",
+         "--seed", "1"],
+        ["noise-stability", "--partition", "cones3", "--rho", "0.5", "--samples", "1e4",
+         "--seed", "inf"],
+    ])
+    def test_infinite_integer_setting_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert "infinity" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["perimeter", "--partition", "cones3", "--method", "minkowski",
+          "--eps-schedule", "nan,0.1,0.05"], "epsilon schedule"),
+        (["perimeter", "--partition", "cones3", "--method", "minkowski",
+          "--eps-schedule", "inf,0.1,0.05"], "epsilon schedule"),
+        (["stability-check", "--epsilon", "nan"], "eps must be finite"),
+        (["stability-check", "--epsilon", "inf"], "eps must be finite"),
+        (["stability-check", "--w", "nan,0"], "shift w must be finite"),
+        (["penalty", "--partition", "cones3", "--w", "nan,0"], "shift w must be finite"),
+        (["minimize-penalized", "--m", "3", "--epsilon", "nan", "--restarts", "1",
+          "--max-iters", "5", "--search-samples", "1e4"], "eps must be finite"),
+        (["minimize-penalized", "--m", "3", "--epsilon", "inf", "--restarts", "1",
+          "--max-iters", "5", "--search-samples", "1e4"], "eps must be finite"),
+    ])
+    def test_non_finite_float_setting_exits_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code = main(argv + ["--samples", "2e4", "--seed", "1", "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_collar_projector_cap_exits_3(self, tmp_path):
         proc = run_cli(["perimeter", "--method", "minkowski", "--partition", "cones16",
@@ -537,6 +598,24 @@ class TestStabilityCheck:
         assert summary["results"]["verdict"] == "pass"
         assert summary["results"]["p_reference"] == pytest.approx(0.559874082811, rel=1e-11)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_reference_moments_evaluated_once(self, tmp_path, monkeypatch, m):
+        # The calibration targets and the certificate read one evaluation.
+        from gauss_bubbles import exact
+
+        reference = simplicial_cone_partition(m)
+        moments, calls = exact.moments, []
+
+        def counted(partition, w=None, report=None):
+            calls.append(np.array_equal(partition.directions, reference.directions)
+                         and np.array_equal(partition.offsets, reference.offsets))
+            return moments(partition, w, report)
+
+        monkeypatch.setattr(exact, "moments", counted)
+        assert main(["stability-check", "--m", str(m), "--perturb", "0.1", "--seed", "1",
+                     "--samples", "1e4", "--out-dir", str(tmp_path)]) == 0
+        assert calls.count(True) == 1 and len(calls) == 2
+
 
 def write_corpus_case(path: Path, name: str, spec: dict, expect: list):
     path.write_text(json.dumps({"name": name, "spec": spec, "expect": expect}))
@@ -623,3 +702,21 @@ class TestRegression:
         assert "'samples'" in fails[3]
         assert "PASS good" in lines
         assert lines[-1] == "regression: 1/7 cases passed"
+
+    def test_infinite_setting_fails_its_case_only(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        good = {"command": "perimeter", "partition": "halfspaces",
+                "samples": 100_000, "seed": 7}
+        write_corpus_case(corpus / "a.json", "infinite-samples",
+                          dict(good, samples="inf"), [])
+        write_corpus_case(corpus / "b.json", "infinite-seed",
+                          dict(good, seed=math.inf), [])
+        write_corpus_case(corpus / "c.json", "good", good,
+                          [{"key": "results.total", "value": 1.0 / math.sqrt(2 * math.pi),
+                            "atol": 1e-9}])
+        assert main(["regression", "--corpus", str(corpus)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if line.startswith("FAIL ")] == [
+            "FAIL infinite-samples", "FAIL infinite-seed"]
+        assert lines[-2:] == ["PASS good", "regression: 1/3 cases passed"]
