@@ -361,7 +361,9 @@ def _cmd_stability_check(spec: dict):
 
 def _cmd_clt_crosscheck(spec: dict):
     spec["dimension"] = 1
-    cfg = _integration_config(spec)
+    # The sum draws no sample, so --samples is optional; the sampling flags
+    # that are given are checked as those of a run of 10^6 samples.
+    cfg = _integration_config({"samples": 1_000_000, **spec})
     rho = float(spec["rho"])
     n = int(spec["n"])
     result = clt_crosscheck(rho, n, cfg)
@@ -582,7 +584,11 @@ def _resolve_spec(args: argparse.Namespace) -> dict:
             continue
         spec[key] = value
     if "seed" in spec:
-        spec["seed"] = int(float(spec["seed"]))
+        # integer text exactly, float notation such as 1e3 through float
+        try:
+            spec["seed"] = int(spec["seed"])
+        except ValueError:
+            spec["seed"] = int(float(spec["seed"]))
     elif args.command not in ("symmetric-scan", "discrete"):
         if from_file:
             raise ConfigError("archived specs must pin a seed")

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator
 
 from .errors import CapacityError, ConfigError, ContractViolationError, DomainError
 
@@ -205,8 +204,10 @@ def _stability_exact(f: DiscreteFunction, rho: float) -> DiscreteStabilityResult
 
 def _stability_sampled(f: DiscreteFunction, rho: float, sample_count: int, seed: int):
     """Pair sampler: word uniform, each partner coordinate from the kernel row."""
+    from numpy.random import Generator, Philox
+
     kernel = NoiseKernel(m=f.m, rho=rho)
-    rng = Generator(np.random.Philox(key=seed))
+    rng = Generator(Philox(key=seed))
     matrix = f.as_matrix()
     weights = np.array([f.m**t for t in range(f.n - 1, -1, -1)])
     totals = np.zeros(f.m)

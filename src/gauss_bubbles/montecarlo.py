@@ -20,6 +20,14 @@ form: they label each row with its cell, and each chunk sums the values of
 every cell over that cell's rows only, instead of summing a dense one-hot
 product that is zero almost everywhere. Both forms give the same bits.
 
+The generator (``numpy.random``'s ``Generator`` and ``Philox``) and
+``ndtri`` are imported where sampling starts, in ``_bit_generator`` and
+``_sample_tiles``, and the thread pool in ``map_chunks`` when it runs more
+than one thread, so the commands that draw no sample (discrete,
+clt-crosscheck) never load them. ``mc_mean`` runs the first import of
+``numpy.random`` and ``scipy.special`` on the calling thread, before any
+chunk reaches a pool worker.
+
 Conventions used throughout the package:
 
 * ``gamma_k(x) = (2*pi)**(-k/2) * exp(-|x|^2/2)`` is the standard Gaussian
@@ -37,12 +45,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import (
     ConfigError,
@@ -161,6 +167,8 @@ def map_chunks(worker: Callable[[int], object], n_chunks: int) -> list:
     workers = min(thread_count(), n_chunks)
     if workers <= 1 or getattr(_POOL_THREAD, "active", False):
         return [worker(c) for c in range(n_chunks)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers, initializer=_mark_pool_thread) as pool:
         return list(pool.map(worker, range(n_chunks)))
 
@@ -176,6 +184,8 @@ def _tile_rows(dimension: int) -> int:
 
 
 def _bit_generator(seed: int, substream: int, chunk: int) -> Philox:
+    from numpy.random import Philox
+
     if not (0 <= substream <= _MAX_UINT32):
         raise ConfigError("substream id out of range")
     return Philox(key=[seed, (substream << 32) | chunk])
@@ -196,8 +206,9 @@ def _sample_tiles(cfg: IntegrationConfig, substream: int, chunk: int,
     reflections, so the tiles carry the chunk's pairs in order and the whole
     chunk is one block [x; -x].
     """
-    # scipy.special is imported where it is used, so that the commands that
-    # sample nothing (discrete, clt-crosscheck) never load it.
+    # Imported here so that the commands that sample nothing (discrete,
+    # clt-crosscheck) never load them.
+    from numpy.random import Generator
     from scipy.special import ndtri
 
     d = cfg.dimension
@@ -279,8 +290,9 @@ def mc_mean(
     if groups is not None and groups < 1:
         raise ContractViolationError("groups must be a positive group count")
     tile = _tile_rows(cfg.dimension)
-    # The sampler's first import of scipy.special runs here, on the calling
-    # thread, not in the pool workers.
+    # The sampler's first imports of numpy.random and scipy.special run
+    # here, on the calling thread, not in the pool workers.
+    import numpy.random  # noqa: F401
     import scipy.special  # noqa: F401
 
     def work(chunk: int):

@@ -217,7 +217,10 @@ def _search(cfg: OptimizeConfig, kind: str, eps: float, w) -> OptimizeResult:
         return res.fun, res.x, objective.trace, objective.evaluations
 
     # Restarts share the chunk pool; their mc_mean calls then run serially
-    # on the restart's own thread.
+    # on the restart's own thread. Their first import of numpy.random runs
+    # here, on the calling thread, not in the pool workers.
+    import numpy.random  # noqa: F401
+
     outcomes = map_chunks(run_restart, cfg.restarts)
 
     restart_values = [out[0] for out in outcomes]

@@ -49,16 +49,17 @@ def run_cli(args, cwd: Path, env_extra=None, preexec_fn=None):
     return run_python(["-m", "gauss_bubbles.cli", *args], cwd, env_extra, preexec_fn)
 
 
-SCIPY_ON_DEMAND = ("scipy.special", "scipy.optimize", "scipy.linalg")
+ON_DEMAND = ("scipy.special", "scipy.optimize", "scipy.linalg", "numpy.random",
+             "concurrent.futures")
 
 
 @pytest.mark.parametrize("module", ["gauss_bubbles", "gauss_bubbles.cli"])
 def test_import_leaves_scipy_special_optimize_and_linalg_unloaded(tmp_path, module):
-    # Only the Gaussian evaluators, the optimizer, rotation alignment and
-    # sampled facets need them, so they are imported where those run, not
-    # on every import of the package or start of the CLI.
+    # Only the Gaussian evaluators, the optimizer, rotation alignment,
+    # sampling and the chunk pool need them, so they are imported where
+    # those run, not on every import of the package or start of the CLI.
     proc = run_python(["-c", f"import sys, {module}; "
-                       f"print([m for m in {SCIPY_ON_DEMAND!r} if m in sys.modules])"], tmp_path)
+                       f"print([m for m in {ON_DEMAND!r} if m in sys.modules])"], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -69,20 +70,52 @@ def test_import_leaves_scipy_special_optimize_and_linalg_unloaded(tmp_path, modu
     ["clt-crosscheck", "--rho", "0.5", "--n", "1001", "--samples", "1e6", "--seed", "4"],
 ])
 def test_discrete_commands_run_without_scipy_special(tmp_path, argv):
-    # Both are exact sums that call no Gaussian special function. Their
-    # reports match, byte for byte, those of a process that has loaded it.
+    # Both are exact sums that call no Gaussian special function and draw no
+    # sample. Their reports match, byte for byte, those of a process that
+    # has loaded scipy.special and numpy.random.
     child_out, here_out = tmp_path / "child", tmp_path / "here"
     proc = run_python(["-c", "import sys; from gauss_bubbles.cli import main; "
                        f"code = main({argv + ['--out-dir', str(child_out)]!r}); "
-                       "print(code, 'scipy.special' in sys.modules)"], tmp_path)
+                       "print(code, 'scipy.special' in sys.modules, "
+                       "'numpy.random' in sys.modules)"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stdout.splitlines()[-1] == "0 False False"
     import scipy.special  # noqa: F401
 
     assert main(argv + ["--out-dir", str(here_out)]) == 0
     child = {p.name: p.read_bytes() for p in sorted(child_out.iterdir())}
     here = {p.name: p.read_bytes() for p in sorted(here_out.iterdir())}
     assert len(child) == 2 and child == here
+
+
+@pytest.mark.parametrize("command", [
+    ["noise-stability", "--rho", "0.9"],
+    ["perimeter", "--method", "minkowski", "--antithetic"],
+], ids=["noise-stability", "minkowski-antithetic"])
+def test_sampling_commands_load_numpy_random_on_demand(tmp_path, command):
+    # A child that starts without numpy.random imports it when sampling
+    # starts, on the calling thread; its reports match, byte for byte, those
+    # of a child that imported it first, on one thread and on a pool of two.
+    from gauss_bubbles import perturb
+
+    partition = tmp_path / "cones4_perturbed.json"
+    partition.write_text(perturb(simplicial_cone_partition(4), 0.1, 5).to_json())
+    argv = command + ["--partition", str(partition), "--samples", "1e5", "--chunk", "25000",
+                      "--seed", "3"]
+    contents = {}
+    for threads in ("1", "2"):
+        for preload in ("", "import numpy.random; "):
+            out = tmp_path / f"t{threads}{bool(preload)}"
+            proc = run_python(["-c", f"import sys; {preload}from gauss_bubbles.cli import main; "
+                               "loaded = 'numpy.random' in sys.modules; "
+                               f"code = main({argv + ['--out-dir', str(out)]!r}); "
+                               "print(code, loaded)"],
+                              tmp_path, env_extra={"GAUSS_BUBBLES_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1] == f"0 {bool(preload)}"
+            contents[out.name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first = contents["t1False"]
+    assert len(first) == 2 and all(files == first for files in contents.values())
 
 
 class TestBasicCommands:
@@ -137,17 +170,39 @@ class TestBasicCommands:
     def test_clt_crosscheck_ignores_sampling_flags(self, tmp_path):
         reports = []
         for sub, flags in (("a", ["--samples", "1e4", "--seed", "1"]),
-                           ("b", ["--samples", "3e6", "--seed", "99", "--chunk", "50000"])):
+                           ("b", ["--samples", "3e6", "--seed", "99", "--chunk", "50000"]),
+                           ("c", ["--seed", "1"]),
+                           ("d", ["--samples", "1e6", "--seed", "1"])):
             assert main(["clt-crosscheck", "--rho", "0.5", "--n", "1001", *flags,
                          "--out-dir", str(tmp_path / sub)]) == 0
             reports.append(read_report(tmp_path / sub, "clt-crosscheck"))
-        (first, files_a), (second, files_b) = reports
+        (first, files_a), *others = reports
         # The summaries echo their specs; everything else is identical.
-        assert first["spec"] != second["spec"]
-        assert (first["results"], first["stderr"]) == (second["results"], second["stderr"])
+        assert len({json.dumps(summary["spec"]) for summary, _ in reports}) == 4
+        for summary, files in others:
+            assert (summary["results"], summary["stderr"]) == (first["results"], first["stderr"])
+            assert files["clt-crosscheck_crosscheck.csv"] == files_a["clt-crosscheck_crosscheck.csv"]
         assert first["results"]["discrete"] == 0.666758508933198
         assert first["stderr"] == {"discrete": 0.0}
-        assert files_a["clt-crosscheck_crosscheck.csv"] == files_b["clt-crosscheck_crosscheck.csv"]
+
+    @pytest.mark.parametrize("flags", [[], ["--samples", "1e4"]], ids=["default", "samples"])
+    def test_clt_crosscheck_rejects_antithetic(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["clt-crosscheck", "--rho", "0.5", "--n", "1001", "--seed", "1",
+                     "--antithetic", *flags, "--out-dir", str(out)]) == 2
+        assert "antithetic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_keeps_every_digit(self, tmp_path):
+        # 2^53 + 1 is the first integer a double cannot hold
+        summaries = []
+        for seed in ("9007199254740992", "9007199254740993", "1e3"):
+            out = tmp_path / seed
+            assert main(["noise-stability", "--partition", "cones3", "--rho", "0.5",
+                         "--samples", "1e4", "--seed", seed, "--out-dir", str(out)]) == 0
+            summaries.append(json.loads((out / "noise-stability_summary.json").read_text()))
+        assert [s["spec"]["seed"] for s in summaries] == [2**53, 2**53 + 1, 1000]
+        assert summaries[0]["results"] != summaries[1]["results"]
 
     def test_penalty_and_noise_stability(self, tmp_path):
         assert main(["penalty", "--partition", "propeller3", "--samples", "200000",
@@ -245,23 +300,26 @@ class TestErrorPaths:
         assert "capacity" in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    def test_one_chunk_of_forty_million_pairs_runs_under_a_memory_cap(self, tmp_path):
-        # 40000001 is no multiple of the default chunk, so every pair is in
-        # one chunk. Whole-chunk arrays of it (305 MiB a column) ended in a
-        # MemoryError traceback under this cap; tiles fit in a few MiB.
+    def test_one_chunk_of_ten_million_pairs_runs_under_a_memory_cap(self, tmp_path):
+        # 10000001 is no multiple of the default chunk, so every pair is in
+        # one chunk. Whole-chunk arrays of it (305 MiB for the pairs' four
+        # columns) ended in a MemoryError traceback under this cap; tiles fit
+        # in a few MiB. One OpenBLAS thread keeps the address space that
+        # OpenBLAS reserves per core out of the cap.
         import resource
 
         def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
         out = tmp_path / "out"
         proc = run_cli(["noise-stability", "--partition", "propeller3", "--rho", "0.5",
-                        "--samples", "40000001", "--seed", "1", "--out-dir", str(out)],
-                       tmp_path, preexec_fn=cap)
+                        "--samples", "10000001", "--seed", "1", "--out-dir", str(out)],
+                       tmp_path, env_extra={"OPENBLAS_NUM_THREADS": "1"}, preexec_fn=cap)
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((out / "noise-stability_summary.json").read_text())
         total, stderr = summary["results"]["total"], summary["stderr"]["total"]
-        assert 0.0 < stderr < 1e-4
+        # Each pair is one 0/1 observation: the error counts all of them.
+        assert stderr == pytest.approx(math.sqrt(total * (1.0 - total) / 10_000_000), rel=1e-9)
         assert abs(total - oracles.propeller_noise_stability(0.5)) <= 4.0 * stderr
 
     def test_dictator_guard_fires_before_allocation(self):
@@ -283,6 +341,13 @@ class TestErrorPaths:
         code = main(["clt-crosscheck", "--rho", "0.5", "--n", "20000001", "--samples", "1e4",
                      "--seed", "1", "--out-dir", str(out)])
         assert code == 3
+        assert not out.exists()
+
+    def test_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["noise-stability", "--partition", "cones3", "--rho", "0.5",
+                     "--samples", "1e4", "--seed", str(2**64), "--out-dir", str(out)]) == 2
+        assert "64-bit" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_partition_spec(self, tmp_path):

@@ -743,7 +743,7 @@ class TestReferenceKernels:
                 u[0, 0], u[1, 0] = 0.0, np.nextafter(1.0, 0.0)
                 return u
 
-        monkeypatch.setattr(montecarlo, "Generator", Extremes)
+        monkeypatch.setattr(np.random, "Generator", Extremes)
         for antithetic in (False, True):
             cfg = IntegrationConfig(sample_count=8, seed=1, dimension=2, chunk_size=4,
                                     antithetic=antithetic)
